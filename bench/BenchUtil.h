@@ -72,8 +72,9 @@ inline workloads::Scale scaleFromArgs(int Argc, char **Argv) {
 }
 
 /// Host worker threads for the simulation engine: `--sim-threads=N` (or
-/// DAECC_SIM_THREADS=N). Defaults to 1, the sequential reference; any value
-/// produces bit-identical simulated results.
+/// DAECC_SIM_THREADS=N). Defaults to 1: the functional pass runs on the
+/// caller alone, and with --no-replay-overlap the run is the thread-free
+/// sequential reference; any value produces bit-identical simulated results.
 inline unsigned simThreadsFromArgs(int Argc, char **Argv) {
   // Repeated flags deterministically last-win (matching BenchOptions::parse),
   // so a sweep script appending overrides to a base command behaves as

@@ -135,9 +135,10 @@ int main(int Argc, char **Argv) {
 
   // Overlap-off reference for the replay_overlap speedup field: same jobs
   // and sim threads, pipelined replay disabled. Only meaningful when the
-  // main run overlapped (the gate needs SimThreads > 1); skipped together
-  // with the jobs baseline via --no-baseline.
-  if (Cfg.ReplayOverlap && Cfg.SimThreads > 1 && !NoBaseline) {
+  // main run overlapped, which it does at every sim-thread count unless
+  // --no-replay-overlap; skipped together with the jobs baseline via
+  // --no-baseline.
+  if (Cfg.ReplayOverlap && !NoBaseline) {
     auto RefWorkloads = workloads::buildAll(S);
     std::vector<SuiteItem> RefItems;
     for (auto &W : RefWorkloads)

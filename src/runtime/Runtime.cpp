@@ -21,7 +21,9 @@
 //
 // The two passes are pipelined across waves (MachineConfig::ReplayOverlap):
 // a dedicated replay thread consumes completed waves strictly in order while
-// the worker pool already executes the next wave's functional pass. This is
+// the worker pool already executes the next wave's functional pass — at
+// every SimThreads count, so a run keeps up to SimThreads + 1 threads
+// runnable; ReplayOverlap = false keeps the thread-free reference. This is
 // legal because next-wave functional execution depends only on prior waves'
 // *memory* effects (established before its functional pass starts), never on
 // timing, and all timing state — cache hierarchy, per-core clocks, profile
@@ -228,10 +230,11 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
   };
 
   // Overlap only pays when another wave's functional pass can run during a
-  // replay; a single wave (or the sequential --sim-threads=1 reference)
-  // keeps replay inline on this thread.
-  const bool Overlap =
-      Cfg.ReplayOverlap && Cfg.SimThreads > 1 && Waves.size() > 1;
+  // replay, so a single wave keeps replay inline on this thread. Any
+  // SimThreads count pipelines, 1 included: the pool then runs the
+  // functional pass on this thread and the replay thread is the second.
+  // ReplayOverlap = false is the thread-free sequential reference.
+  const bool Overlap = Cfg.ReplayOverlap && Waves.size() > 1;
 
   if (!Overlap) {
     std::vector<WaveResult> Results;

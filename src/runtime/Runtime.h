@@ -15,11 +15,11 @@
 /// out over MachineConfig::SimThreads worker threads, while cache timing is
 /// replayed single-threaded in schedule order from recorded access traces,
 /// so RunProfiles are bit-identical for every thread count. With
-/// MachineConfig::ReplayOverlap (the default), the two passes pipeline:
-/// wave N replays on a dedicated thread while wave N+1 executes
-/// functionally — the replay thread owns all timing state and consumes
-/// waves strictly in order, so results are unchanged (see DESIGN.md,
-/// "Host-parallel simulation" and "Pipelined replay").
+/// MachineConfig::ReplayOverlap (the default), the two passes pipeline at
+/// every SimThreads count: wave N replays on a dedicated thread while wave
+/// N+1 executes functionally — the replay thread owns all timing state and
+/// consumes waves strictly in order, so results are unchanged (see
+/// DESIGN.md, "Host-parallel simulation" and "Pipelined replay").
 ///
 //===----------------------------------------------------------------------===//
 

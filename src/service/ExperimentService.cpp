@@ -271,16 +271,7 @@ std::string ExperimentService::handleRun(const JsonValue &V,
     return errorJson(std::strcmp(Tag, "busy") == 0 ? "busy" : "internal",
                      Err);
   }
-  double Ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    bool Hit =
-        std::strcmp(Tag, "memory") == 0 || std::strcmp(Tag, "disk") == 0;
-    (Hit ? HitLatency : MissLatency).add(Ms);
-  }
-  return priceReply(Req, Payload, Tag, Ms);
+  return priceReply(Req, Payload, Tag, T0);
 }
 
 bool ExperimentService::obtainPayload(const Request &Req, unsigned ClientId,
@@ -495,7 +486,8 @@ void appendOutputsJson(std::string &Out, const char *Scheme,
 std::string ExperimentService::priceReply(const Request &Req,
                                           const std::string &Payload,
                                           const char *CacheTag,
-                                          double LatencyMs) {
+                                          std::chrono::steady_clock::time_point
+                                              Start) {
   ResultRecord Rec;
   if (!deserializeResult(Payload, Rec)) {
     std::lock_guard<std::mutex> Lock(M);
@@ -562,6 +554,16 @@ std::string ExperimentService::priceReply(const Request &Req,
   appendOutputsJson(Outputs, "manual", Rec.ManualOut);
   Outputs += ", ";
   appendOutputsJson(Outputs, "auto", Rec.AutoOut);
+
+  double LatencyMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    bool Hit = std::strcmp(CacheTag, "memory") == 0 ||
+               std::strcmp(CacheTag, "disk") == 0;
+    (Hit ? HitLatency : MissLatency).add(LatencyMs);
+  }
 
   char Buf[512];
   std::snprintf(Buf, sizeof(Buf),

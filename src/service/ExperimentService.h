@@ -58,6 +58,7 @@
 #include "service/ResultCache.h"
 #include "workloads/Workload.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -168,8 +169,12 @@ private:
   void runnerLoop();
   bool popNextLocked(Pending &Out);
   void executeCompute(const Pending &P);
+  /// Deserializes and prices \p Payload into the reply. The reply's
+  /// latency_ms, and the hit/miss latency stats, run from \p Start to just
+  /// before the reply is formatted, so they include deserialize and pricing.
   std::string priceReply(const Request &Req, const std::string &Payload,
-                         const char *CacheTag, double LatencyMs);
+                         const char *CacheTag,
+                         std::chrono::steady_clock::time_point Start);
 
   Config C;
   GenerationMemo Memo;

@@ -20,6 +20,7 @@ namespace {
 struct Parser {
   const std::string &T;
   std::size_t P = 0;
+  unsigned Depth = 0; ///< Objects and arrays open around P.
   std::string Err;
 
   explicit Parser(const std::string &Text) : T(Text) {}
@@ -43,9 +44,14 @@ struct Parser {
       return fail("unexpected end of input");
     switch (T[P]) {
     case '{':
-      return parseObject(Out);
-    case '[':
-      return parseArray(Out);
+    case '[': {
+      if (Depth == MaxJsonDepth)
+        return fail("nesting too deep");
+      ++Depth;
+      bool Ok = T[P] == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
+    }
     case '"':
       Out.K = JsonValue::Kind::String;
       return parseString(Out.Str);

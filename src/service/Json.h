@@ -62,9 +62,14 @@ struct JsonValue {
   }
 };
 
+/// Deepest nesting of objects and arrays parseJson accepts. Protocol
+/// requests nest at most 3 deep (options.rep_args); the cap bounds the
+/// parser's recursion so hostile input cannot overflow the stack.
+constexpr unsigned MaxJsonDepth = 64;
+
 /// Strict parse of one complete JSON document. Returns false and fills
 /// \p Err (with a character position) on any syntax error, including
-/// non-whitespace trailing content.
+/// non-whitespace trailing content and nesting deeper than MaxJsonDepth.
 bool parseJson(const std::string &Text, JsonValue &Out, std::string &Err);
 
 /// String escaped for embedding in a JSON string literal (quotes not

@@ -22,7 +22,6 @@ Cache::Cache(const CacheConfig &Cfg)
 void Cache::flush() {
   Tags.assign(Tags.size(), InvalidTag);
   Lrus.assign(Lrus.size(), 0);
-  Hits = Misses = 0;
   LastLineAddr = InvalidTag;
   LastWay = 0;
 }

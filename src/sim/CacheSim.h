@@ -18,10 +18,11 @@
 ///
 /// The tag store is struct-of-arrays (tags and LRU stamps in separate dense
 /// vectors) and access() is inline with a same-line-as-last-access short
-/// circuit, because the replay loop streams tens of millions of events
-/// through it per simulated run. Both are pure layout/speed changes: every
-/// Tick increment, LRU stamp, hit count and victim choice is identical to
-/// the scalar reference, so simulated profiles are bit-identical.
+/// circuit and a single hit-or-victim scan per set, because the replay loop
+/// streams tens of millions of events through it per simulated run. All are
+/// pure layout/speed changes: every Tick increment, LRU stamp, hit and
+/// victim choice is identical to the scalar reference (first invalid way,
+/// else least recently used), so simulated profiles are bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,39 +52,35 @@ public:
   /// True on hit; on miss the line is installed (evicting LRU).
   bool access(std::uint64_t Addr) {
     std::uint64_t LineAddr = Addr >> LineShift;
+    std::uint64_t Now = ++Tick;
     // Same-line fast path: the last-touched line is always resident (it was
     // installed even on a miss), so only its LRU stamp needs refreshing.
-    // State updates match the full path exactly: one Tick per access, stamp
-    // the way, count the hit.
     if (LineAddr == LastLineAddr) {
-      Lrus[LastWay] = ++Tick;
-      ++Hits;
+      Lrus[LastWay] = Now;
       return true;
     }
-    std::uint64_t Set = LineAddr & (NumSets - 1);
-    std::size_t Base = static_cast<std::size_t>(Set) * Assoc;
-    ++Tick;
+    std::size_t Base =
+        static_cast<std::size_t>(LineAddr & (NumSets - 1)) * Assoc;
+    std::uint64_t *SetTags = Tags.data() + Base;
+    std::uint64_t *SetLrus = Lrus.data() + Base;
+    // One scan finds the hit or the victim: the first way with the minimum
+    // stamp. Invalid ways carry stamp 0 and valid ones a unique stamp >= 1,
+    // so that is the first invalid way, else the least recently used.
+    unsigned Way = 0;
     for (unsigned W = 0; W != Assoc; ++W) {
-      if (Tags[Base + W] == LineAddr) {
-        Lrus[Base + W] = Tick;
-        ++Hits;
+      if (SetTags[W] == LineAddr) {
+        SetLrus[W] = Now;
         LastLineAddr = LineAddr;
         LastWay = Base + W;
         return true;
       }
+      if (SetLrus[W] < SetLrus[Way])
+        Way = W;
     }
-    // Miss: evict the first invalid way, else the least recently used.
-    std::size_t Victim = Base;
-    for (unsigned W = 1; W != Assoc && Tags[Victim] != InvalidTag; ++W) {
-      std::size_t I = Base + W;
-      if (Tags[I] == InvalidTag || Lrus[I] < Lrus[Victim])
-        Victim = I;
-    }
-    Tags[Victim] = LineAddr;
-    Lrus[Victim] = Tick;
-    ++Misses;
+    SetTags[Way] = LineAddr;
+    SetLrus[Way] = Now;
     LastLineAddr = LineAddr;
-    LastWay = Victim;
+    LastWay = Base + Way;
     return false;
   }
 
@@ -101,9 +98,6 @@ public:
   /// Drops all lines.
   void flush();
 
-  std::uint64_t hits() const { return Hits; }
-  std::uint64_t misses() const { return Misses; }
-
 private:
   /// Tag sentinel for an invalid way. Simulated line addresses are bounded
   /// by AccessTrace's 62-bit address space so a real tag can never collide.
@@ -117,8 +111,9 @@ private:
   /// records. Validity is Tags[I] != InvalidTag.
   std::vector<std::uint64_t> Tags;
   std::vector<std::uint64_t> Lrus;
+  /// Pre-incremented on every access and never reset, so a valid way's
+  /// stamp is unique and >= 1 while invalid ways keep stamp 0.
   std::uint64_t Tick = 0;
-  std::uint64_t Hits = 0, Misses = 0;
   /// Same-line short-circuit state (see access()).
   std::uint64_t LastLineAddr = InvalidTag;
   std::size_t LastWay = 0;

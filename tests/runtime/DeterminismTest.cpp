@@ -100,11 +100,13 @@ struct RtFixture {
     return Tasks;
   }
 
-  /// Runs the same task set with \p Threads workers on fresh memory.
+  /// Runs the same task set with \p Threads workers on fresh memory;
+  /// \p Overlap = false is the thread-free sequential reference at 1.
   RunProfile run(unsigned Threads, unsigned NumTasks, unsigned Waves,
-                 bool RunAccess) {
+                 bool RunAccess, bool Overlap = true) {
     MachineConfig C = Cfg;
     C.SimThreads = Threads;
+    C.ReplayOverlap = Overlap;
     Memory Mem;
     Loader L(M);
     TaskRuntime RT(C, Mem, L);
@@ -125,14 +127,15 @@ TEST_P(StreamDeterminismTest, MatchesSequentialReference) {
   // partially-filled waves, where schedule bugs would hide.
   for (Shape S : {Shape{32, 1, true}, Shape{16, 4, true}, Shape{15, 3, true},
                   Shape{7, 2, true}, Shape{16, 4, false}}) {
-    RunProfile Seq = Fx.run(1, S.Tasks, S.Waves, S.RunAccess);
+    RunProfile Seq = Fx.run(1, S.Tasks, S.Waves, S.RunAccess,
+                            /*Overlap=*/false);
     RunProfile Par = Fx.run(Threads, S.Tasks, S.Waves, S.RunAccess);
     expectProfilesEqual(Seq, Par);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, StreamDeterminismTest,
-                         ::testing::Values(2u, 4u, 7u));
+                         ::testing::Values(2u, 4u, 7u, 1u));
 
 /// End-to-end: all seven paper workloads through the full harness (CAE,
 /// Manual DAE, Auto DAE) must profile bit-identically at 1 and 4 threads.
@@ -143,6 +146,8 @@ TEST_P(WorkloadDeterminismTest, FourThreadsMatchOne) {
   auto RunAt = [&](unsigned Threads) {
     MachineConfig Cfg;
     Cfg.SimThreads = Threads;
+    // The one-thread run is the thread-free sequential reference.
+    Cfg.ReplayOverlap = Threads > 1;
     auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
     return harness::runApp(*W, Cfg);
   };
@@ -208,6 +213,8 @@ TEST_P(OverlapDeterminismTest, OverlapMatchesReference) {
   RunCapture RefCap;
   RunProfile Ref = Run(/*Threads=*/1, /*Overlap=*/false, &RefCap);
 
+  // {1 thread, overlap on} pipelines too: the caller runs the functional
+  // pass and the replay thread consumes its waves.
   for (unsigned Threads : {1u, 2u, 8u}) {
     for (bool Overlap : {false, true}) {
       RunCapture Cap;
@@ -233,6 +240,8 @@ TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
   auto RunAt = [](unsigned Jobs, unsigned Threads, bool UseMemo) {
     MachineConfig Cfg;
     Cfg.SimThreads = Threads;
+    // Only the (1, 1) reference runs thread-free.
+    Cfg.ReplayOverlap = Jobs > 1 || Threads > 1;
     auto Ws = workloads::buildAll(workloads::Scale::Test);
     std::vector<harness::SuiteItem> Items;
     for (auto &W : Ws)

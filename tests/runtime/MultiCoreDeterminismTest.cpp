@@ -96,7 +96,9 @@ TEST(MultiCoreDeterminism, CoRunIdenticalForAnyHostConfig) {
   Cfg.NumCores = 4;
   std::vector<std::string> Names = {"libq", "cholesky", "fft"};
 
-  MixResult Ref = runNamedMix(Names, Cfg, 1, 1);
+  MachineConfig RefCfg = Cfg;
+  RefCfg.ReplayOverlap = false; // Thread-free sequential reference.
+  MixResult Ref = runNamedMix(Names, RefCfg, 1, 1);
   ASSERT_EQ(Ref.Streams.size(), 3u);
   for (const MixStreamResult &S : Ref.Streams)
     EXPECT_TRUE(S.OutputsMatch) << S.Name;

@@ -386,12 +386,27 @@ TEST(ServiceDeterminismTest, MalformedRequestsGetStructuredErrors) {
             "bad_request"); // unknown knob
   ExpectBad("{\"op\": \"run\", \"workload\": \"lu\", \"transition_ns\": -5}",
             "bad_request");
+  // Nesting past MaxJsonDepth is refused before it can exhaust the stack.
+  ExpectBad(std::string(2000000, '['), "bad_request");
 
   // Still alive and correct after the error volley.
   JsonValue Good = handle(Svc, runRequest("lu"));
   EXPECT_TRUE(Good.get("ok")->B);
   JsonValue Stats = handle(Svc, "{\"op\": \"stats\"}");
-  EXPECT_EQ(Stats.get("service")->get("errors")->Num, 14.0);
+  EXPECT_EQ(Stats.get("service")->get("errors")->Num, 15.0);
+}
+
+// The nesting cap is exact: MaxJsonDepth levels parse, one more fails.
+TEST(ServiceDeterminismTest, JsonNestingCapIsExact) {
+  auto Nested = [](unsigned Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  JsonValue V;
+  std::string Err;
+  EXPECT_TRUE(parseJson(Nested(MaxJsonDepth), V, Err)) << Err;
+  EXPECT_FALSE(parseJson(Nested(MaxJsonDepth + 1), V, Err));
+  EXPECT_NE(Err.find("nesting too deep"), std::string::npos) << Err;
+  EXPECT_FALSE(parseJson("{\"a\": " + Nested(MaxJsonDepth) + "}", V, Err));
 }
 
 // Generator-knob overrides change the compute key and the result; the same

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 
 using namespace dae;
@@ -222,14 +223,20 @@ TEST(LoaderTest, AssignsDisjointAlignedBases) {
   EXPECT_GE(C, B + 4096);
 }
 
+/// Feeds \p Addrs to \p C and counts the hits access() reports.
+unsigned countHits(Cache &C, std::initializer_list<std::uint64_t> Addrs) {
+  unsigned Hits = 0;
+  for (std::uint64_t A : Addrs)
+    Hits += C.access(A);
+  return Hits;
+}
+
 TEST(CacheTest, HitsAfterMiss) {
   Cache C({1024, 2, 64}); // 8 sets x 2 ways.
   EXPECT_FALSE(C.access(0x0));
   EXPECT_TRUE(C.access(0x0));
   EXPECT_TRUE(C.access(0x38)); // Same line.
   EXPECT_FALSE(C.access(0x40)); // Next line.
-  EXPECT_EQ(C.misses(), 2u);
-  EXPECT_EQ(C.hits(), 2u);
 }
 
 TEST(CacheTest, LruEviction) {
@@ -247,16 +254,30 @@ TEST(CacheTest, SameLineFastPathKeepsLruExact) {
   // The same-line-as-last-access short circuit must still bump the line's
   // LRU stamp, or a hot line would look stale and get evicted.
   Cache C({128, 2, 64}); // 1 set, 2 ways.
-  C.access(0x000);       // Line A (miss).
-  C.access(0x040);       // Line B (miss).
-  C.access(0x000);       // A again: slow-path hit, A becomes MRU.
-  C.access(0x008);       // A again: fast-path hit, A stays MRU.
-  C.access(0x080);       // Line C must evict B, the true LRU.
+  // A, B miss; A again is a slow-path hit (A becomes MRU), 0x008 a fast-path
+  // hit on A (A stays MRU); C must then evict B, the true LRU.
+  EXPECT_EQ(countHits(C, {0x000, 0x040, 0x000, 0x008, 0x080}), 2u);
   EXPECT_TRUE(C.probe(0x000));
   EXPECT_FALSE(C.probe(0x040));
   EXPECT_TRUE(C.probe(0x080));
-  EXPECT_EQ(C.hits(), 2u);
-  EXPECT_EQ(C.misses(), 3u);
+}
+
+TEST(CacheTest, VictimIsInvalidWayBeforeLru) {
+  // While the set still holds invalid ways, a miss fills the first of them
+  // and evicts nothing, even though a valid way is least recently used.
+  Cache C({256, 4, 64}); // 1 set, 4 ways.
+  EXPECT_EQ(countHits(C, {0x000, 0x040, 0x000}), 1u); // B is the LRU way.
+  EXPECT_EQ(countHits(C, {0x080, 0x0C0}), 0u);        // C, D fill ways 2, 3.
+  for (std::uint64_t Line : {0x000, 0x040, 0x080, 0x0C0})
+    EXPECT_TRUE(C.probe(Line));
+  // Full now: E evicts B (stamp 2 < A 3 < C 4 < D 5), then F evicts A.
+  EXPECT_EQ(countHits(C, {0x100, 0x140}), 0u);
+  EXPECT_FALSE(C.probe(0x040));
+  EXPECT_FALSE(C.probe(0x000));
+  EXPECT_EQ(countHits(C, {0x080, 0x0C0, 0x100, 0x140}), 4u);
+  // After a flush every way is invalid again and is filled in way order.
+  C.flush();
+  EXPECT_EQ(countHits(C, {0x000, 0x040, 0x080, 0x0C0, 0x000, 0x040}), 2u);
 }
 
 TEST(CacheTest, RejectsNonPowerOfTwoLineBytes) {
