@@ -96,6 +96,13 @@ struct Golden {
   std::uint64_t Auto;
 };
 
+// Print a case as its quoted workload name, like the const char * suites.
+// Without this gtest prints the raw bytes, whose Name pointer changes with
+// every load address, so the discovered ctest names would too.
+void PrintTo(const Golden &G, std::ostream *OS) {
+  *OS << ::testing::PrintToString(G.Name);
+}
+
 // Captured from the seed tree (commit 484aab9, default MachineConfig,
 // Scale::Test) before the pm:: refactor landed.
 const Golden Goldens[] = {
@@ -131,9 +138,6 @@ TEST_P(SnapshotTest, MatchesPreRefactorPipeline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SnapshotTest,
-                         ::testing::ValuesIn(Goldens),
-                         [](const ::testing::TestParamInfo<Golden> &Info) {
-                           return std::string(Info.param.Name);
-                         });
+                         ::testing::ValuesIn(Goldens));
 
 } // namespace
