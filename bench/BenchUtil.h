@@ -104,7 +104,7 @@ inline unsigned jobsFromArgs(int Argc, char **Argv) {
 }
 
 /// Functional execution backend: `--sim-backend={switch,threaded,native}`
-/// overrides the process default (DAECC_SIM_BACKEND, else threaded; see
+/// overrides the process default (DAECC_SIM_BACKEND, else native; see
 /// sim::defaultSimBackend). Every backend produces bit-identical simulated
 /// results; the flag exists to measure the backends' host-side win (the
 /// `interp` block of BENCH_<name>.json) and to keep the reference

@@ -41,7 +41,8 @@ struct PipelineConfig {
 };
 
 /// The process-wide configuration (DAECC_VERIFY_EACH=1 / DAECC_PRINT_AFTER_ALL=1
-/// set the corresponding fields on first use).
+/// set the corresponding fields on first use; a value other than 0 or 1 is a
+/// hard configuration error, exit 2).
 PipelineConfig &config();
 
 /// Per-pass counters.

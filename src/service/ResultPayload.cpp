@@ -16,16 +16,6 @@
 using namespace dae;
 using namespace dae::service;
 
-std::uint64_t service::fnv1a(const void *Data, std::size_t N) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  std::uint64_t H = 1469598103934665603ull;
-  for (std::size_t I = 0; I != N; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 namespace {
 
 void appendPhase(std::string &Out, const sim::PhaseStats &S) {

@@ -32,6 +32,7 @@
 #define DAECC_SERVICE_RESULTPAYLOAD_H
 
 #include "harness/Harness.h"
+#include "support/Hash.h"
 
 #include <cstdint>
 #include <string>
@@ -39,12 +40,9 @@
 namespace dae {
 namespace service {
 
-/// FNV-1a over a byte range; the same discipline (offset basis / prime) as
-/// the native code cache's content hash.
-std::uint64_t fnv1a(const void *Data, std::size_t N);
-inline std::uint64_t fnv1a(const std::string &S) {
-  return fnv1a(S.data(), S.size());
-}
+/// The result cache's fingerprints (disk-entry names and checks, output
+/// snapshots) use daecc's one content hash.
+using support::fnv1a;
 
 /// (length, FNV-1a) fingerprint of one scheme's output byte snapshot.
 struct OutputsFingerprint {

@@ -7,22 +7,24 @@
 /// \file
 /// Executes Task IR against the simulated memory and cache hierarchy,
 /// producing the frequency-decomposed PhaseStats profile. Interpreter is the
-/// single entry point for both execution backends (MachineConfig::Backend):
+/// single entry point for all three execution backends
+/// (MachineConfig::Backend):
 ///
 ///  * SimBackend::Switch — the reference interpreter implemented in this
 ///    file: functions precompiled to a flat slot-addressed form with a
 ///    precomputed opcode enum, executed by one switch per instruction.
-///  * SimBackend::Threaded (default) — register-allocated bytecode run by a
+///  * SimBackend::Threaded — register-allocated bytecode run by a
 ///    direct-threaded dispatch loop (sim/Bytecode.h,
 ///    sim/ThreadedInterpreter.h); Interpreter constructs a
 ///    ThreadedInterpreter internally and delegates. Simulated results are
 ///    bit-identical to the switch backend (SnapshotTest goldens,
 ///    tests/sim/BackendDifferentialTest.cpp); only host speed differs.
-///  * SimBackend::Native — the bytecode lowered once per function to
-///    executable host code (sim/NativeCodegen.h) and run by a
-///    NativeInterpreter (sim/NativeExec.h); functions the lowerer rejects
-///    fall back to the threaded interpreter per function. Same bit-identical
-///    contract as the threaded backend.
+///  * SimBackend::Native (default) — the bytecode lowered once per function
+///    to executable host code (sim/NativeCodegen.h) and run by a
+///    NativeInterpreter (sim/NativeExec.h); functions the lowerer rejects,
+///    and every function in a build without the JIT, fall back to the
+///    threaded interpreter per function. Same bit-identical contract as the
+///    threaded backend.
 ///
 /// Two execution modes share each backend's core loop:
 ///  * run() — the classic fused mode: cache hits/misses are simulated inline

@@ -43,9 +43,9 @@ enum class SimBackend : std::uint8_t {
   Threaded,
   /// The threaded backend's bytecode lowered once more to executable host
   /// code (sim/NativeCodegen.h): an x86-64 template JIT with trace emission
-  /// and page translation inlined at the load/store sites, or portable
-  /// C-emission compiled through $DAECC_NATIVE_CC on other hosts. Functions
-  /// the lowerer cannot compile fall back to the threaded loop per function.
+  /// and page translation inlined at the load/store sites. Functions the
+  /// lowerer cannot compile — every function on hosts and builds without the
+  /// JIT — fall back to the threaded loop per function. The default.
   Native,
 };
 
@@ -87,9 +87,11 @@ inline bool simBackendFromName(const char *Name, SimBackend &Out) {
 }
 
 /// Process-default backend: DAECC_SIM_BACKEND={switch,threaded,native} when
-/// set, otherwise Threaded. An unknown value is a hard configuration error
-/// (exit 2), not a silent fall-back: a sweep that thinks it measured the
-/// native backend but silently ran threaded would produce wrong conclusions.
+/// set, otherwise Native on every host (where the JIT is not built, Native
+/// runs each function on its threaded fallback). An unknown value is a hard
+/// configuration error (exit 2), not a silent fall-back: a sweep that thinks
+/// it measured the native backend but silently ran threaded would produce
+/// wrong conclusions.
 /// The bench drivers' --sim-backend= flag overrides this per run (see
 /// bench/BenchUtil.h).
 inline SimBackend defaultSimBackend() {
@@ -102,7 +104,7 @@ inline SimBackend defaultSimBackend() {
                  Env, simBackendValidValues());
     std::exit(2);
   }
-  return SimBackend::Threaded;
+  return SimBackend::Native;
 }
 
 /// Exact log2 of a power-of-two cache line size. Throws std::invalid_argument
@@ -154,9 +156,10 @@ struct MachineConfig {
   bool ReplayOverlap = true;
 
   /// Functional execution backend (CLI: --sim-backend={switch,threaded,
-  /// native} / DAECC_SIM_BACKEND). Threaded is the default; Switch keeps the
-  /// reference interpreter; Native compiles the bytecode to host code.
-  /// Simulated results are bit-identical for every choice.
+  /// native} / DAECC_SIM_BACKEND). Native, which compiles the bytecode to
+  /// host code, is the default; Threaded runs the bytecode on a dispatch
+  /// loop; Switch keeps the reference interpreter. Simulated results are
+  /// bit-identical for every choice.
   SimBackend Backend = defaultSimBackend();
 
   // Private per-core L1/L2, shared LLC. The geometry is a proportionally

@@ -7,6 +7,7 @@
 #include "sim/Memory.h"
 
 #include "ir/Module.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <cassert>
@@ -53,18 +54,10 @@ std::uint64_t Memory::imageHash() const {
   }
   std::sort(Nonzero.begin(), Nonzero.end());
 
-  std::uint64_t H = 1469598103934665603ull; // FNV-1a offset basis.
-  auto feed = [&H](const std::uint8_t *Data, std::uint64_t Len) {
-    for (std::uint64_t I = 0; I != Len; ++I) {
-      H ^= Data[I];
-      H *= 1099511628211ull;
-    }
-  };
+  std::uint64_t H = support::FnvOffsetBasis;
   for (const auto &[Idx, P] : Nonzero) {
-    std::uint8_t IdxBytes[8];
-    std::memcpy(IdxBytes, &Idx, 8);
-    feed(IdxBytes, 8);
-    feed(P, PageSize);
+    H = support::fnv1a(&Idx, sizeof(Idx), H);
+    H = support::fnv1a(P, PageSize, H);
   }
   return H;
 }

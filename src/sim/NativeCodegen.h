@@ -7,20 +7,15 @@
 /// \file
 /// Lowers the register-allocated bytecode of sim/Bytecode.h once per function
 /// to executable host code, the third execution backend
-/// (MachineConfig::Backend == SimBackend::Native). Two lowering modes share
-/// one ABI (native::NativeContext in sim/NativeExec.h):
-///
-///  * Jit — an x86-64 template JIT: per-opcode stencils assembled into an
-///    mmap'd code buffer, made W^X (RW while emitting, RX before publishing).
-///    The load/store sites are the point: trace emission is two raw stores
-///    against a pre-reserved buffer with the capacity check hoisted to the
-///    head of each straight-line region, and page translation is
-///    strength-reduced to a tag compare + add against a register-cached
-///    (page tag, host-minus-simulated delta) pair.
-///  * Cemit — portable fallback: the same lowering emitted as a C source
-///    file, compiled through $DAECC_NATIVE_CC (default "cc") into a shared
-///    object and dlopen'd. Keeps the backend alive on non-x86-64 hosts and
-///    under sanitizers (which cannot instrument raw JIT code).
+/// (MachineConfig::Backend == SimBackend::Native, the default). The lowerer
+/// is an x86-64 template JIT: per-opcode stencils assembled into an mmap'd
+/// code buffer, made W^X (RW while emitting, RX before publishing), calling
+/// back into C++ through one ABI (native::NativeContext in sim/NativeExec.h).
+/// The load/store sites are the point: trace emission is two raw stores
+/// against a pre-reserved buffer with the capacity check hoisted to the head
+/// of each straight-line region, and page translation is strength-reduced to
+/// a tag compare + add against a register-cached (page tag,
+/// host-minus-simulated delta) pair.
 ///
 /// Every function is lowered twice — a fused variant (cache callbacks at the
 /// memory sites, costs applied to PhaseStats) and a tracing variant (inline
@@ -28,10 +23,12 @@
 /// zero trace instructions and neither variant tests a mode flag.
 ///
 /// compile() returns null for functions the lowerer rejects (unsupported
-/// opcode, mmap/cc failure); the execution layer then falls back to the
-/// threaded interpreter for that function — degraded speed, never degraded
-/// correctness. Compiled code is immutable, self-contained except for the
-/// NativeContext helpers, and shared read-only across threads; a process-wide
+/// opcode, mmap failure) and for every function in a build without the JIT
+/// (non-x86-64 hosts, ASan/TSan builds, whose instrumentation cannot cover
+/// raw JIT code); the execution layer then runs that function on the
+/// threaded interpreter — degraded speed, never degraded correctness.
+/// Compiled code is immutable, self-contained except for the NativeContext
+/// helpers, and shared read-only across threads; a process-wide
 /// content-addressed cache dedupes identical bytecode across interpreters.
 ///
 //===----------------------------------------------------------------------===//
@@ -57,17 +54,7 @@ struct NativeContext;
 /// context's current Frame/counters and returns at Ret/RetVal.
 using EntryFn = void (*)(NativeContext *);
 
-/// Lowering mode selection.
-enum class Mode : std::uint8_t {
-  /// Pick per host: Jit on x86-64 without address/thread sanitizers, Cemit
-  /// elsewhere. Overridable via DAECC_NATIVE_MODE={jit,cemit,auto}.
-  Auto,
-  Jit,
-  Cemit,
-};
-
 struct Options {
-  Mode LowerMode = Mode::Auto;
   /// Testing hook: abort (after a diagnostic) instead of returning null when
   /// a function contains an opcode the lowerer does not support. The death
   /// test pins that rejection is loud under the hook and graceful without.
@@ -75,8 +62,8 @@ struct Options {
 };
 
 /// One function's executable native code: the fused and tracing entry points
-/// plus the backing storage (an mmap'd W^X buffer or a dlopen'd shared
-/// object). Immutable and safe to execute concurrently from any thread.
+/// plus the backing storage (an mmap'd W^X buffer). Immutable and safe to
+/// execute concurrently from any thread.
 class NativeCode {
 public:
   virtual ~NativeCode();
@@ -86,9 +73,7 @@ public:
   EntryFn fused() const { return Fused; }
   EntryFn traced() const { return Traced; }
 
-  /// True when backed by the x86-64 JIT (vs. a compiled-C shared object).
-  bool isJit() const { return Jit; }
-  /// Base/size of the executable region (W^X tests; null/0 for Cemit).
+  /// Base/size of the executable region (W^X tests, code-cache charging).
   const std::uint8_t *codeAddr() const { return CodeAddr; }
   std::size_t codeSize() const { return CodeSize; }
 
@@ -96,34 +81,32 @@ protected:
   NativeCode() = default;
   EntryFn Fused = nullptr;
   EntryFn Traced = nullptr;
-  bool Jit = false;
   const std::uint8_t *CodeAddr = nullptr;
   std::size_t CodeSize = 0;
 };
 
 /// Lowers \p BF to native code, or returns null when the function cannot be
-/// lowered (unsupported opcode, host without a usable mode, cc/mmap failure)
-/// — callers must then execute \p BF through the threaded interpreter.
+/// lowered (unsupported opcode, build without the JIT, mmap failure) —
+/// callers must then execute \p BF through the threaded interpreter.
 /// Results are served from a process-wide content-addressed cache, so
 /// compiling the same bytecode from many interpreters costs one lowering.
 /// Thread safe.
 std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
                                           const Options &Opts = Options());
 
-/// The mode Auto resolves to on this host ("jit" or "cemit"), after
-/// DAECC_NATIVE_MODE; for logs and tests.
-const char *activeModeName();
+/// True when this build contains the x86-64 JIT, i.e. compile() can return
+/// code at all; for tests.
+bool jitBuilt();
 
 /// Counters for the process-wide compiled-code cache. Retention is bounded
 /// the same way as dae::GenerationMemo and sim::TracePool: entries are
-/// charged their executable size (a nominal page for Cemit objects, whose
-/// code lives in a dlopen'd .so the loader sizes) against a retained-bytes
-/// cap, default 256 MiB, overridable via DAECC_NATIVE_CACHE_MB (garbage is
-/// a hard error, exit 2). Least-recently-used entries are evicted at the
-/// cap; in-flight executions keep their code alive through the shared_ptr,
-/// so eviction only ever costs a future recompile. Cached failures (null)
-/// are charged zero bytes and never evicted — retrying a persistent cc/mmap
-/// failure per request would hammer the toolchain.
+/// charged their executable size against a retained-bytes cap, default
+/// 256 MiB, overridable via DAECC_NATIVE_CACHE_MB (garbage is a hard error,
+/// exit 2). Least-recently-used entries are evicted at the cap; in-flight
+/// executions keep their code alive through the shared_ptr, so eviction
+/// only ever costs a future recompile. Cached failures (null)
+/// are charged zero bytes and never evicted — retrying a persistent mmap
+/// failure per request would only fail again.
 struct CacheStats {
   std::uint64_t Entries = 0;
   std::uint64_t RetainedBytes = 0;

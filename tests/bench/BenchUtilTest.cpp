@@ -48,7 +48,7 @@ TEST(BenchUtil, BackendDefaultsWithoutFlag) {
   unsetenv("DAECC_SIM_BACKEND");
   char Prog[] = "bench";
   char *Argv[] = {Prog};
-  EXPECT_EQ(backendFromArgs(1, Argv), SimBackend::Threaded);
+  EXPECT_EQ(backendFromArgs(1, Argv), SimBackend::Native);
 }
 
 TEST(BenchUtil, BackendEnvOverridesDefault) {

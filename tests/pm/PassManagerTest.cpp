@@ -8,8 +8,9 @@
 // (function, analysis); a mutating pass (empty PreservedAnalyses) drops the
 // cache and forces recomputation; a no-op pass (all preserved) keeps cached
 // results pointer-identical; invalidating LoopInfo cascades to the cached
-// ScalarEvolution that references it; and fixpoint pipelines terminate —
-// both by reaching a steady state and by the iteration cap.
+// ScalarEvolution that references it; fixpoint pipelines terminate —
+// both by reaching a steady state and by the iteration cap; and the
+// pipeline's environment switches accept only 0 or 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,12 @@
 #include "ir/Verifier.h"
 #include "passes/Passes.h"
 #include "pm/Analyses.h"
+#include "pm/Instrumentation.h"
 #include "pm/Pass.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 using namespace dae;
 using namespace dae::ir;
@@ -216,6 +220,30 @@ TEST(PassManagerTest, FixpointStopsAfterOneCleanSweep) {
   Fix.add<NoOpPass>();
   Fix.run(*Fx.F, FAM);
   EXPECT_EQ(Fix.lastIterations(), 1u);
+}
+
+/// DAECC_VERIFY_EACH and DAECC_PRINT_AFTER_ALL take exactly 0 or 1; anything
+/// else exits 2. The old first-character parse read DAECC_VERIFY_EACH=true
+/// as off, the inversion of what was asked. pm::config() reads the
+/// environment once per process, so each case runs in a freshly executed
+/// child (the threadsafe death-test style) rather than a fork that may
+/// inherit an already initialised configuration.
+TEST(PipelineConfigDeathTest, NonBinaryEnvSwitchIsAHardError) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("DAECC_VERIFY_EACH", "true", 1);
+        pm::config();
+      },
+      ::testing::ExitedWithCode(2), "invalid DAECC_VERIFY_EACH value 'true'");
+  EXPECT_EXIT(
+      {
+        unsetenv("DAECC_VERIFY_EACH");
+        setenv("DAECC_PRINT_AFTER_ALL", "yes", 1);
+        pm::config();
+      },
+      ::testing::ExitedWithCode(2),
+      "invalid DAECC_PRINT_AFTER_ALL value 'yes'");
 }
 
 } // namespace

@@ -7,18 +7,22 @@
 // Edge cases of the native codegen backend that the cross-backend
 // differential suite (BackendDifferentialTest.cpp) does not reach: code
 // storage across many compiled functions, W^X protection of the JIT buffer,
-// the C-emission fallback mode, and — most important — the rejection path:
-// a function the lowerer cannot compile must fall back to the threaded
-// interpreter bit-identically, never miscompile, and must die loudly under
-// the AbortOnUnsupported testing hook.
+// and — most important — the rejection path: a function the lowerer cannot
+// compile must fall back to the threaded interpreter bit-identically, never
+// miscompile, and must die loudly under the AbortOnUnsupported testing hook.
+// Builds without the JIT (non-x86-64 hosts, ASan/TSan) take that fallback
+// for every function; NativeBackendRejectAll runs whole workloads that way.
 //
 //===----------------------------------------------------------------------===//
 
+#include "harness/Harness.h"
 #include "ir/IRBuilder.h"
+#include "sim/AccessTrace.h"
 #include "sim/Bytecode.h"
 #include "sim/Interpreter.h"
 #include "sim/Memory.h"
 #include "sim/NativeCodegen.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -96,6 +100,8 @@ void expectSameRun(const RunResult &A, const RunResult &B, const char *What) {
 /// held simultaneously (the CompiledProgram holds every function of a
 /// workload at once).
 TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
+  if (!native::jitBuilt())
+    GTEST_SKIP() << "this build has no JIT (every function runs threaded)";
   constexpr unsigned N = 48;
   Module M;
   auto *Out = M.createGlobal("Out", N * 8);
@@ -114,14 +120,9 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
   for (Function *F : Fns)
     if (const native::NativeCode *NC = Prog.lookupNative(*F)) {
       ++Compiled;
-      if (NC->isJit()) {
-        EXPECT_NE(NC->codeAddr(), nullptr);
-        EXPECT_GT(NC->codeSize(), 0u);
-      }
+      EXPECT_NE(NC->codeAddr(), nullptr);
+      EXPECT_GT(NC->codeSize(), 0u);
     }
-  // On a host with a working mode every function must have compiled; with
-  // no usable mode the backend still runs (threaded fallback), but this
-  // test's point is the code storage, so require compilation.
   EXPECT_EQ(Compiled, N);
 
   // All functions execute correctly while every code object is live.
@@ -142,8 +143,10 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
 
 /// The JIT buffer must be W^X: readable and executable, never writable,
 /// once published. Verified against the kernel's own view (/proc/self/maps);
-/// skipped when the host compiles through the C-emission fallback.
+/// skipped in builds without the JIT.
 TEST(NativeBackend, JitBufferIsWxProtected) {
+  if (!native::jitBuilt())
+    GTEST_SKIP() << "this build has no JIT buffer to check";
   Module M;
   auto *Out = M.createGlobal("Out", 8);
   Function *F = buildFn(M, Out, 0);
@@ -151,8 +154,7 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
   MachineConfig Cfg;
   auto BF = bc::lower(*F, L, Cfg);
   std::shared_ptr<const native::NativeCode> NC = native::compile(*BF);
-  if (!NC || !NC->isJit())
-    GTEST_SKIP() << "host uses the C-emission mode (no JIT buffer to check)";
+  ASSERT_NE(NC, nullptr);
 
   std::FILE *Maps = std::fopen("/proc/self/maps", "r");
   if (!Maps)
@@ -176,34 +178,6 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
   }
   std::fclose(Maps);
   EXPECT_TRUE(Found) << "JIT buffer not in /proc/self/maps";
-}
-
-/// The C-emission mode (DAECC_NATIVE_MODE=cemit; auto-selected under
-/// sanitizers and on non-x86-64 hosts) must produce the same bits as the
-/// reference backend.
-TEST(NativeBackend, CEmissionFallbackMatchesReference) {
-  Module M;
-  auto *Out = M.createGlobal("Out", 4 * 8);
-  Function *F = buildFn(M, Out, 3);
-  Loader L(M);
-  MachineConfig Cfg;
-  auto BF = bc::lower(*F, L, Cfg);
-
-  native::Options Opts;
-  Opts.LowerMode = native::Mode::Cemit;
-  std::shared_ptr<const native::NativeCode> NC = native::compile(*BF, Opts);
-  if (!NC)
-    GTEST_SKIP() << "no host C compiler available for the cemit mode";
-  EXPECT_FALSE(NC->isJit());
-  EXPECT_NE(NC->fused(), nullptr);
-  EXPECT_NE(NC->traced(), nullptr);
-
-  // End to end through the interpreter, pinned to cemit via the env knob.
-  setenv("DAECC_NATIVE_MODE", "cemit", 1);
-  RunResult Ref = runUnder(SimBackend::Switch, M, *F, 11);
-  RunResult Got = runUnder(SimBackend::Native, M, *F, 11);
-  unsetenv("DAECC_NATIVE_MODE");
-  expectSameRun(Ref, Got, "cemit vs switch");
 }
 
 /// A function containing an opcode the lowerer rejects (here forced via
@@ -244,5 +218,107 @@ TEST(NativeBackendDeathTest, UnsupportedOpcodeAbortsUnderHook) {
   EXPECT_DEATH(native::compile(*BF, Opts), "rejected opcode 'SIToFP'");
   unsetenv("DAECC_NATIVE_REJECT_OP");
 }
+
+void expectSameStats(const PhaseStats &A, const PhaseStats &B,
+                     const std::string &What) {
+  EXPECT_EQ(A.Instructions, B.Instructions) << What;
+  EXPECT_EQ(A.ComputeCycles, B.ComputeCycles) << What;
+  EXPECT_EQ(A.StallNs, B.StallNs) << What;
+  EXPECT_EQ(A.Loads, B.Loads) << What;
+  EXPECT_EQ(A.Stores, B.Stores) << What;
+  EXPECT_EQ(A.Prefetches, B.Prefetches) << What;
+  EXPECT_EQ(A.L1Hits, B.L1Hits) << What;
+  EXPECT_EQ(A.L2Hits, B.L2Hits) << What;
+  EXPECT_EQ(A.LLCHits, B.LLCHits) << What;
+  EXPECT_EQ(A.MemAccesses, B.MemAccesses) << What;
+}
+
+void expectSameProfile(const runtime::RunProfile &A,
+                       const runtime::RunProfile &B, const char *Scheme) {
+  EXPECT_EQ(A.NumCores, B.NumCores) << Scheme;
+  ASSERT_EQ(A.Tasks.size(), B.Tasks.size()) << Scheme;
+  for (size_t I = 0; I != A.Tasks.size(); ++I) {
+    const std::string What = std::string(Scheme) + " task " +
+                             std::to_string(I);
+    EXPECT_EQ(A.Tasks[I].Core, B.Tasks[I].Core) << What;
+    EXPECT_EQ(A.Tasks[I].Wave, B.Tasks[I].Wave) << What;
+    EXPECT_EQ(A.Tasks[I].HasAccess, B.Tasks[I].HasAccess) << What;
+    expectSameStats(A.Tasks[I].Access, B.Tasks[I].Access, What + " access");
+    expectSameStats(A.Tasks[I].Execute, B.Tasks[I].Execute,
+                    What + " execute");
+  }
+}
+
+/// The path every function takes in a build without the JIT (non-x86-64
+/// hosts, ASan/TSan builds): DAECC_NATIVE_REJECT_OP=* makes the lowerer
+/// reject every function, so the native backend compiles nothing and runs
+/// the whole workload on its per-function threaded fallback. It must match
+/// the threaded backend bit for bit: the profiles of all three schemes
+/// through the full harness, the output snapshots, and — per task — the
+/// ordered access trace, the returned stats and the final memory image.
+class NativeBackendRejectAll : public ::testing::TestWithParam<const char *> {
+};
+
+TEST_P(NativeBackendRejectAll, MatchesThreaded) {
+  setenv("DAECC_NATIVE_REJECT_OP", "*", 1);
+
+  auto RunApp = [&](SimBackend Backend) {
+    MachineConfig Cfg;
+    Cfg.Backend = Backend;
+    auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
+    return harness::runApp(*W, Cfg);
+  };
+  harness::AppResult Ref = RunApp(SimBackend::Threaded);
+  harness::AppResult Got = RunApp(SimBackend::Native);
+  EXPECT_TRUE(Got.OutputsMatch);
+  expectSameProfile(Ref.Cae, Got.Cae, "cae");
+  expectSameProfile(Ref.Manual, Got.Manual, "manual");
+  expectSameProfile(Ref.Auto, Got.Auto, "auto");
+  EXPECT_EQ(Ref.CaeOutputs, Got.CaeOutputs);
+  EXPECT_EQ(Ref.ManualOutputs, Got.ManualOutputs);
+  EXPECT_EQ(Ref.AutoOutputs, Got.AutoOutputs);
+
+  auto RunTraced = [&](SimBackend Backend, std::vector<AccessTrace> &Traces,
+                       std::vector<PhaseStats> &Stats) {
+    MachineConfig Cfg;
+    Cfg.Backend = Backend;
+    auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
+    Loader L(*W->M);
+    Memory Mem;
+    W->Init(Mem, L);
+    CompiledProgram Prog(Cfg, L);
+    for (const runtime::Task &T : W->Tasks)
+      Prog.add(*T.Execute);
+    for (const runtime::Task &T : W->Tasks)
+      EXPECT_EQ(Prog.lookupNative(*T.Execute), nullptr)
+          << "a rejected function compiled";
+    Interpreter Interp(Cfg, Mem, L, &Prog);
+    for (const runtime::Task &T : W->Tasks) {
+      Traces.emplace_back();
+      Stats.push_back(Interp.runTraced(*T.Execute, T.Args, Traces.back()));
+    }
+    return Mem.imageHash();
+  };
+  std::vector<AccessTrace> RefTraces, GotTraces;
+  std::vector<PhaseStats> RefStats, GotStats;
+  const std::uint64_t RefHash =
+      RunTraced(SimBackend::Threaded, RefTraces, RefStats);
+  const std::uint64_t GotHash =
+      RunTraced(SimBackend::Native, GotTraces, GotStats);
+  unsetenv("DAECC_NATIVE_REJECT_OP");
+
+  EXPECT_EQ(RefHash, GotHash);
+  ASSERT_EQ(RefTraces.size(), GotTraces.size());
+  for (size_t I = 0; I != RefTraces.size(); ++I) {
+    expectSameStats(RefStats[I], GotStats[I],
+                    "traced task " + std::to_string(I));
+    EXPECT_EQ(RefTraces[I].events(), GotTraces[I].events())
+        << "trace of task " << I;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, NativeBackendRejectAll,
+                         ::testing::Values("lu", "cholesky", "fft", "lbm",
+                                           "libq", "cigar", "cg"));
 
 } // namespace

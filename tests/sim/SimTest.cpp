@@ -159,6 +159,21 @@ TEST(TracePoolDeathTest, GarbageEnvCapIsAHardError) {
       testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
 }
 
+TEST(TracePoolDeathTest, OverflowingEnvCapIsAHardError) {
+  // 2^44 MiB is 2^64 bytes: the MiB -> byte shift would wrap the cap to 0,
+  // silently disabling the pool. One MiB less is the largest cap that fits.
+  setenv("DAECC_TRACE_POOL_MB", "17592186044415", 1);
+  EXPECT_EQ(TracePool::maxTotalBytesFromEnv(),
+            std::size_t(17592186044415ull) << 20);
+  unsetenv("DAECC_TRACE_POOL_MB");
+  EXPECT_EXIT(
+      {
+        setenv("DAECC_TRACE_POOL_MB", "17592186044416", 1);
+        TracePool::maxTotalBytesFromEnv();
+      },
+      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
+}
+
 TEST(TracePoolTest, RetainedBytesAreCapped) {
   // Per-buffer cap: a huge-wave trace must not pin its capacity forever.
   TracePool Pool(/*MaxPooled=*/4, /*MaxBufferBytes=*/1024,
