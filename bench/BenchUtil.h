@@ -132,10 +132,10 @@ inline sim::SimBackend backendFromArgs(int Argc, char **Argv) {
   return HaveFlag ? Chosen : sim::defaultSimBackend();
 }
 
-/// Pipelined wave simulation switch: on by default; `--no-replay-overlap`
-/// (or DAECC_REPLAY_OVERLAP=0) keeps the timing replay inline with the
-/// functional pass instead of overlapping it with the next wave. Either
-/// setting produces bit-identical simulated results (see
+/// Pipelined simulation switch: on by default; `--no-replay-overlap`
+/// (or DAECC_REPLAY_OVERLAP=0) keeps the timing replay inline after each
+/// wave's functional pass instead of streaming it task by task beside it.
+/// Either setting produces bit-identical simulated results (see
 /// MachineConfig::ReplayOverlap); the flag only exists to measure the
 /// overlap's host-side win and to simplify debugging.
 inline bool replayOverlapFromArgs(int Argc, char **Argv) {
@@ -431,9 +431,12 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///                                       wall_seconds             double  same
 ///                                         as the top-level wall_seconds
 ///                                       no_overlap_wall_seconds  double  wall
-///                                         clock of a separately measured
-///                                         --no-replay-overlap run of the
-///                                         same suite; -1 when not measured
+///                                         clock of the same suite with
+///                                         --no-replay-overlap, measured in
+///                                         the same process (an estimate:
+///                                         fig3 averages one run before and
+///                                         one after the main run); -1 when
+///                                         not measured
 ///                                       speedup                  double
 ///                                         no_overlap_wall_seconds /
 ///                                         wall_seconds; -1 when not measured
@@ -529,8 +532,8 @@ public:
     std::lock_guard<std::mutex> Lock(Mu);
     Backend = B;
   }
-  /// Wall clock of a separately measured --no-replay-overlap run of the same
-  /// suite, enabling the replay_overlap speedup field.
+  /// In-process estimate of the same suite's --no-replay-overlap wall
+  /// clock, enabling the replay_overlap speedup field.
   void setNoOverlapBaseline(double NoOverlapSecs) {
     std::lock_guard<std::mutex> Lock(Mu);
     NoOverlapSeconds = NoOverlapSecs;

@@ -63,6 +63,26 @@ void printPanel(const char *Title, const std::vector<Fig3Row> &Rows,
               geometricMean(G[3]), geometricMean(G[4]));
 }
 
+/// Wall clock of one suite run like the main one (same jobs and sim
+/// threads, fresh workloads and memo) with the pipelined replay disabled.
+double timeNoOverlapRun(workloads::Scale S, sim::MachineConfig Cfg,
+                        unsigned Jobs) {
+  auto Workloads = workloads::buildAll(S);
+  std::vector<SuiteItem> Items;
+  for (auto &W : Workloads)
+    Items.push_back({W.get(), nullptr});
+  GenerationMemo Memo;
+  Cfg.ReplayOverlap = false;
+  SuiteConfig SC;
+  SC.Jobs = Jobs;
+  SC.SimThreads = Cfg.SimThreads;
+  SC.Memo = &Memo;
+  auto T0 = std::chrono::steady_clock::now();
+  runSuite(Items, Cfg, SC);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -96,6 +116,15 @@ int main(int Argc, char **Argv) {
   SC.Memo = &Memo;
   SC.DaeVerify = DaeVerify;
   SC.DaeProfileGuided = DaeProfileGuided;
+
+  // Overlap-off reference for the replay_overlap speedup field, timed once
+  // before the main run and once after it and averaged, so neither run
+  // order nor warm process state (JIT code cache, trace pool) favours one
+  // side. Only meaningful when the main run overlaps, which it does unless
+  // --no-replay-overlap; skipped together with the jobs baseline via
+  // --no-baseline.
+  const bool MeasureNoOverlap = Cfg.ReplayOverlap && !NoBaseline;
+  double NoOverlapSecs = MeasureNoOverlap ? timeNoOverlapRun(S, Cfg, Jobs) : 0;
 
   Throughput.start();
   std::vector<AppResult> Results = runSuite(Items, Cfg, SC);
@@ -133,30 +162,9 @@ int main(int Argc, char **Argv) {
     (void)BaseResults;
   }
 
-  // Overlap-off reference for the replay_overlap speedup field: same jobs
-  // and sim threads, pipelined replay disabled. Only meaningful when the
-  // main run overlapped, which it does at every sim-thread count unless
-  // --no-replay-overlap; skipped together with the jobs baseline via
-  // --no-baseline.
-  if (Cfg.ReplayOverlap && !NoBaseline) {
-    auto RefWorkloads = workloads::buildAll(S);
-    std::vector<SuiteItem> RefItems;
-    for (auto &W : RefWorkloads)
-      RefItems.push_back({W.get(), nullptr});
-    GenerationMemo RefMemo;
-    sim::MachineConfig RefCfg = Cfg;
-    RefCfg.ReplayOverlap = false;
-    SuiteConfig RefSC;
-    RefSC.Jobs = Jobs;
-    RefSC.SimThreads = Cfg.SimThreads;
-    RefSC.Memo = &RefMemo;
-    auto T0 = std::chrono::steady_clock::now();
-    std::vector<AppResult> RefResults = runSuite(RefItems, RefCfg, RefSC);
-    auto T1 = std::chrono::steady_clock::now();
+  if (MeasureNoOverlap)
     Throughput.setNoOverlapBaseline(
-        std::chrono::duration<double>(T1 - T0).count());
-    (void)RefResults;
-  }
+        (NoOverlapSecs + timeNoOverlapRun(S, Cfg, Jobs)) / 2.0);
 
   for (double Latency : {500.0, 0.0}) {
     std::printf("\n================ transition latency: %.0f ns "

@@ -22,7 +22,8 @@ ReplayEngine::ReplayEngine(const MachineConfig &Cfg, unsigned NumCores,
 
 void ReplayEngine::replayWave(unsigned WaveId,
                               const std::vector<const Task *> &WaveTasks,
-                              std::vector<WaveResult> &Results) {
+                              std::vector<WaveResult> &Results,
+                              const std::atomic<bool> *Ready) {
   const unsigned NumCores = static_cast<unsigned>(CoreTimeNs.size());
   std::vector<std::deque<std::size_t>> Queues(NumCores);
   for (std::size_t I = 0; I != WaveTasks.size(); ++I)
@@ -53,6 +54,8 @@ void ReplayEngine::replayWave(unsigned WaveId,
       Queues[Victim].pop_back();
     }
 
+    if (Ready)
+      Ready[Chosen].wait(false, std::memory_order_acquire);
     WaveResult &R = Results[Chosen];
     TaskCapture *Cap = nullptr;
     if (Capture) {

@@ -10,8 +10,14 @@
 /// the same seam. All state the replay mutates — cache hierarchy, per-core
 /// clocks, the profile's task order, the oracle capture, the retained-trace
 /// log — lives here and is only ever touched by one thread at a time: the
-/// caller when replay is inline, the dedicated replay thread when the wave
-/// pipeline is active (see Runtime.cpp, "Pipelined wave simulation").
+/// caller when replay is inline, the dedicated replay thread when the
+/// pipeline is active (see Runtime.cpp and DESIGN.md, "Pipelined replay").
+/// Pipelined, the replay streams task by task: a wave is handed over before
+/// its functional pass has finished, and the schedule waits on the ready
+/// flag of each task it picks. The wait changes only when a task replays in
+/// host time, never which task or in what order — the schedule reads
+/// simulated clocks alone — and it always ends, because the functional pass
+/// that raises the flags never waits on the replay.
 ///
 /// The engine replays one run's waves in order: the exact greedy min-time /
 /// steal-from-longest-queue schedule picks tasks, and each chosen task's
@@ -30,6 +36,7 @@
 #include "sim/AccessTrace.h"
 #include "sim/CacheSim.h"
 
+#include <atomic>
 #include <vector>
 
 namespace dae {
@@ -54,9 +61,12 @@ public:
                RunProfile &Profile, RunCapture *Capture, const Task *TaskBase,
                RunTraces *Traces = nullptr);
 
-  /// Replays one completed wave. Waves must be replayed in ascending order.
+  /// Replays one wave. Waves must be replayed in ascending order. With
+  /// \p Ready (one flag per task), the wave may still be executing: the
+  /// schedule waits for each chosen task's flag before reading its result.
   void replayWave(unsigned WaveId, const std::vector<const Task *> &WaveTasks,
-                  std::vector<WaveResult> &Results);
+                  std::vector<WaveResult> &Results,
+                  const std::atomic<bool> *Ready = nullptr);
 
 private:
   const sim::MachineConfig &Cfg;

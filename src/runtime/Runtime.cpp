@@ -19,18 +19,19 @@
 //     therefore never depend on host interleaving: profiles are bit-identical
 //     for any --sim-threads value, including 1.
 //
-// The two passes are pipelined across waves (MachineConfig::ReplayOverlap):
-// a dedicated replay thread consumes completed waves strictly in order while
-// the worker pool already executes the next wave's functional pass — at
-// every SimThreads count, so a run keeps up to SimThreads + 1 threads
-// runnable; ReplayOverlap = false keeps the thread-free reference. This is
-// legal because next-wave functional execution depends only on prior waves'
-// *memory* effects (established before its functional pass starts), never on
-// timing, and all timing state — cache hierarchy, per-core clocks, profile
-// order — is owned exclusively by the replay thread until the run completes.
-// Wave payloads live in two alternating slots, so trace buffers recycle
-// through the TracePool with one wave in flight on each side and no
-// cross-wave contention on the WaveResult vectors themselves.
+// The two passes are pipelined task by task (MachineConfig::ReplayOverlap):
+// each wave is published to a slot before its functional pass starts, each
+// task raises its own ready flag (release) once its traces are recorded,
+// and a dedicated replay thread runs the wave's schedule meanwhile, waiting
+// (acquire) on the flag of each task it picks. This is legal because
+// functional execution depends only on prior waves' *memory* effects, never
+// on timing, and all timing state — cache hierarchy, per-core clocks,
+// profile order — is owned by the replay thread; the schedule and every add
+// are the sequential engine's. It cannot deadlock: the producer never waits
+// on the replay during a functional pass. Two alternating slots bound a run
+// to one wave replayed and one produced, at every SimThreads count (up to
+// SimThreads + 1 runnable threads); ReplayOverlap = false keeps the
+// thread-free reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -201,17 +202,18 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
 
   ReplayEngine Replay(Cfg, NumCores, Profile, Capture, Tasks.data(), Traces);
 
-  // Functional pass of one wave into \p Results, in parallel across the
-  // pool: compute values and record access traces for every task. Wall-clock
-  // time is accumulated into the profile's FunctionalSeconds so the bench
-  // drivers can report per-backend functional throughput; RunFunctional is
-  // only ever called from this thread, so a plain accumulator suffices.
+  // Functional pass of one wave into \p Results (already sized), in
+  // parallel across the pool: compute values and record access traces for
+  // every task, raising the task's \p Ready flag, if any, as soon as its
+  // result is complete. Wall-clock time is accumulated into the profile's
+  // FunctionalSeconds so the bench drivers can report per-backend functional
+  // throughput; RunFunctional is only ever called from this thread, so a
+  // plain accumulator suffices.
   double FunctionalSecs = 0.0;
   auto RunFunctional = [&](const std::vector<const Task *> &WaveTasks,
-                           std::vector<WaveResult> &Results) {
+                           std::vector<WaveResult> &Results,
+                           std::atomic<bool> *Ready) {
     auto Start = std::chrono::steady_clock::now();
-    Results.clear();
-    Results.resize(WaveTasks.size());
     Pool.run(WaveTasks.size(), [&](std::size_t I, unsigned Worker) {
       const Task &T = *WaveTasks[I];
       WaveResult &R = Results[I];
@@ -223,35 +225,35 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
       }
       R.ExecTr.acquireFrom(TracePool::global());
       R.Execute = Interp.runTraced(*T.Execute, T.Args, R.ExecTr);
+      if (Ready) {
+        Ready[I].store(true, std::memory_order_release);
+        Ready[I].notify_one();
+      }
     });
     FunctionalSecs +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
             .count();
   };
 
-  // Overlap only pays when another wave's functional pass can run during a
-  // replay, so a single wave keeps replay inline on this thread. Any
-  // SimThreads count pipelines, 1 included: the pool then runs the
-  // functional pass on this thread and the replay thread is the second.
-  // ReplayOverlap = false is the thread-free sequential reference.
-  const bool Overlap = Cfg.ReplayOverlap && Waves.size() > 1;
-
-  if (!Overlap) {
+  if (!Cfg.ReplayOverlap) {
     std::vector<WaveResult> Results;
     for (auto &[WaveId, WaveTasks] : Waves) {
-      RunFunctional(WaveTasks, Results);
+      Results.clear();
+      Results.resize(WaveTasks.size());
+      RunFunctional(WaveTasks, Results, nullptr);
       Replay.replayWave(WaveId, WaveTasks, Results);
     }
   } else {
     // Two wave slots alternate between the producer (this thread: functional
-    // pass) and the consumer (replay thread). The replay thread visits slots
-    // in the same alternating order waves were filled, so waves replay
-    // strictly in order; the mutex hands each slot's contents across threads
-    // with the necessary happens-before edges.
+    // pass) and the consumer (replay thread). A slot is published before its
+    // wave's functional pass, and its per-task Ready flags hand each result
+    // across; the replay thread visits slots in the same alternating order,
+    // so waves replay strictly in order. The mutex orders slot reuse.
     struct WaveSlot {
       unsigned WaveId = 0;
       const std::vector<const Task *> *WaveTasks = nullptr;
       std::vector<WaveResult> Results;
+      std::vector<std::atomic<bool>> Ready;
       bool Full = false;
     };
     WaveSlot Slots[2];
@@ -270,7 +272,7 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
             return; // NoMoreWaves and nothing pending in order.
         }
         Replay.replayWave(Slots[S].WaveId, *Slots[S].WaveTasks,
-                          Slots[S].Results);
+                          Slots[S].Results, Slots[S].Ready.data());
         {
           std::lock_guard<std::mutex> Lock(M);
           Slots[S].Full = false;
@@ -282,19 +284,19 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
 
     unsigned S = 0;
     for (auto &[WaveId, WaveTasks] : Waves) {
+      WaveSlot &Slot = Slots[S];
       {
         std::unique_lock<std::mutex> Lock(M);
-        SlotEmpty.wait(Lock, [&] { return !Slots[S].Full; });
-      }
-      WaveSlot &Slot = Slots[S];
-      Slot.WaveId = WaveId;
-      Slot.WaveTasks = &WaveTasks;
-      RunFunctional(WaveTasks, Slot.Results);
-      {
-        std::lock_guard<std::mutex> Lock(M);
+        SlotEmpty.wait(Lock, [&] { return !Slot.Full; });
+        Slot.WaveId = WaveId;
+        Slot.WaveTasks = &WaveTasks;
+        Slot.Results.clear();
+        Slot.Results.resize(WaveTasks.size());
+        Slot.Ready = std::vector<std::atomic<bool>>(WaveTasks.size());
         Slot.Full = true;
       }
       SlotFull.notify_one();
+      RunFunctional(WaveTasks, Slot.Results, Slot.Ready.data());
       S ^= 1;
     }
     {

@@ -15,11 +15,13 @@
 /// out over MachineConfig::SimThreads worker threads, while cache timing is
 /// replayed single-threaded in schedule order from recorded access traces,
 /// so RunProfiles are bit-identical for every thread count. With
-/// MachineConfig::ReplayOverlap (the default), the two passes pipeline at
-/// every SimThreads count: wave N replays on a dedicated thread while wave
-/// N+1 executes functionally — the replay thread owns all timing state and
-/// consumes waves strictly in order, so results are unchanged (see
-/// DESIGN.md, "Host-parallel simulation" and "Pipelined replay").
+/// MachineConfig::ReplayOverlap (the default), the two passes pipeline task
+/// by task at every SimThreads count: a dedicated replay thread replays each
+/// task as soon as its functional execution has finished, in the same wave
+/// or behind it — the replay thread owns all timing state and follows the
+/// sequential schedule exactly, waiting on a task that is not done yet, so
+/// results are unchanged (see DESIGN.md, "Host-parallel simulation" and
+/// "Pipelined replay").
 ///
 //===----------------------------------------------------------------------===//
 

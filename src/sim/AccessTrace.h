@@ -23,11 +23,27 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 namespace dae {
 namespace sim {
+
+/// std::allocator whose value-less construct() default-initialises, so
+/// growing a vector of trivially constructible elements with resize()
+/// leaves the new slots unwritten instead of zero-filling them.
+/// (Constructions with a value still go through std::construct_at.)
+template <class T> struct DefaultInitAllocator : std::allocator<T> {
+  template <class U> void construct(U *P) { ::new (static_cast<void *>(P)) U; }
+};
+
+/// Storage of one recorded trace: one packed event per word (see
+/// AccessTrace). Default-initialising, so the native backend's raw cursor
+/// can expose the whole capacity without writing it first.
+using TraceBuffer =
+    std::vector<std::uint64_t, DefaultInitAllocator<std::uint64_t>>;
 
 /// Free-list of trace storage buffers, shared across tasks, waves and
 /// concurrently running simulations. Traces are bulky and short-lived (one
@@ -83,11 +99,11 @@ public:
   }
 
   /// Returns an empty buffer, reusing pooled capacity when available.
-  std::vector<std::uint64_t> acquire() {
+  TraceBuffer acquire() {
     std::lock_guard<std::mutex> Lock(Mutex);
     if (Free.empty())
       return {};
-    std::vector<std::uint64_t> Buf = std::move(Free.back());
+    TraceBuffer Buf = std::move(Free.back());
     Free.pop_back();
     RetainedBytes -= Buf.capacity() * sizeof(std::uint64_t);
     ++Reuses;
@@ -99,7 +115,7 @@ public:
   /// recorded length (before clearing) feeds the sizing hint the next
   /// acquirer pre-reserves against — wave N's trace length is the best
   /// available predictor for wave N+1's.
-  void recycle(std::vector<std::uint64_t> Buf) {
+  void recycle(TraceBuffer Buf) {
     const std::size_t Events = Buf.size();
     const std::size_t UsedBytes = Events * sizeof(std::uint64_t);
     Buf.clear();
@@ -154,7 +170,7 @@ private:
   const std::size_t MaxBufferBytes;
   const std::size_t MaxTotalBytes;
   mutable std::mutex Mutex;
-  std::vector<std::vector<std::uint64_t>> Free;
+  std::vector<TraceBuffer> Free;
   std::size_t RetainedBytes = 0;
   std::size_t LastEvents = 0;
   std::size_t PeakBytes = 0;
@@ -189,13 +205,13 @@ public:
   }
   static std::uint64_t addrOf(std::uint64_t Event) { return Event & AddrMask; }
 
-  const std::vector<std::uint64_t> &events() const { return Events; }
+  const TraceBuffer &events() const { return Events; }
   bool empty() const { return Events.empty(); }
   std::size_t size() const { return Events.size(); }
   void clear() { Events.clear(); }
   /// Releases the storage (traces are bulky; the runtime frees each one right
   /// after its replay).
-  void release() { std::vector<std::uint64_t>().swap(Events); }
+  void release() { TraceBuffer().swap(Events); }
 
   /// Adopts pooled storage from \p Pool before recording begins and
   /// pre-reserves the pool's sizing hint (the previous wave's trace length),
@@ -218,6 +234,8 @@ public:
   /// region. The vector is resized to its full capacity while the cursor is
   /// out (so raw writes land inside [data(), data()+size()) — well-defined
   /// and sanitizer-clean) and trimmed back to the recorded length on commit.
+  /// TraceBuffer's allocator makes that resize write nothing: the exposed
+  /// slack is never read before the generated code has written it.
   /// @{
 
   /// Opens the cursor: ensures at least \p HintEvents of headroom, exposes
@@ -258,7 +276,7 @@ private:
   /// slack past the typical tiny-phase trace).
   static constexpr std::size_t MinReserve = 64;
 
-  std::vector<std::uint64_t> Events;
+  TraceBuffer Events;
 };
 
 } // namespace sim

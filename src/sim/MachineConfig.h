@@ -18,9 +18,9 @@
 #ifndef DAECC_SIM_MACHINECONFIG_H
 #define DAECC_SIM_MACHINECONFIG_H
 
+#include "support/EnvParse.h"
+
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -95,16 +95,8 @@ inline bool simBackendFromName(const char *Name, SimBackend &Out) {
 /// The bench drivers' --sim-backend= flag overrides this per run (see
 /// bench/BenchUtil.h).
 inline SimBackend defaultSimBackend() {
-  if (const char *Env = std::getenv("DAECC_SIM_BACKEND")) {
-    SimBackend B;
-    if (simBackendFromName(Env, B))
-      return B;
-    std::fprintf(stderr,
-                 "error: unknown DAECC_SIM_BACKEND value '%s' (expected %s)\n",
-                 Env, simBackendValidValues());
-    std::exit(2);
-  }
-  return SimBackend::Native;
+  return support::envNamedOr("DAECC_SIM_BACKEND", SimBackend::Native,
+                             simBackendFromName, simBackendValidValues());
 }
 
 /// Exact log2 of a power-of-two cache line size. Throws std::invalid_argument
@@ -142,15 +134,16 @@ struct MachineConfig {
   /// the functional pass parallelizes over tasks, not simulated cores.
   unsigned SimThreads = 1;
 
-  /// Pipelined wave simulation: when true (the default) and the run has more
-  /// than one wave, the timing replay of wave N runs on a dedicated replay
-  /// thread while the worker pool executes the functional pass of wave N+1,
-  /// at any SimThreads count (with 1, the caller runs the functional pass and
-  /// the replay thread is the second runnable thread). False keeps the
-  /// thread-free sequential reference (CLI: --no-replay-overlap /
-  /// DAECC_REPLAY_OVERLAP=0). Replay order and cache state are unaffected —
-  /// the replay thread consumes waves strictly in order and owns the
-  /// hierarchy exclusively — so RunProfiles stay bit-identical for every
+  /// Pipelined simulation: when true (the default), a dedicated replay
+  /// thread replays each task's timing as soon as its functional execution
+  /// has finished, while the worker pool runs the rest of that wave and the
+  /// next one, at any SimThreads count (with 1, the caller runs the
+  /// functional pass and the replay thread is the second runnable thread).
+  /// False keeps the thread-free sequential reference (CLI:
+  /// --no-replay-overlap / DAECC_REPLAY_OVERLAP=0). Replay order and cache
+  /// state are unaffected — the replay thread follows the sequential
+  /// schedule, waiting on tasks not yet executed, and owns the hierarchy
+  /// exclusively — so RunProfiles stay bit-identical for every
   /// (SimThreads, ReplayOverlap) combination (asserted by
   /// tests/runtime/DeterminismTest.cpp).
   bool ReplayOverlap = true;

@@ -89,6 +89,24 @@ inline std::size_t envMiBOr(const char *Name, std::size_t DefaultBytes) {
   return static_cast<std::size_t>(Mb) << 20;
 }
 
+/// Strict name-valued knob from the environment. Unset returns \p Default;
+/// a value \p FromName rejects (it returns false, like
+/// sim::simBackendFromName) exits 2 with a diagnostic naming the variable
+/// and the \p Expected spellings.
+template <class T, class FromNameFn>
+T envNamedOr(const char *Name, T Default, FromNameFn FromName,
+             const char *Expected) {
+  const char *Env = std::getenv(Name);
+  if (!Env)
+    return Default;
+  T Value;
+  if (FromName(Env, Value))
+    return Value;
+  std::fprintf(stderr, "error: unknown %s value '%s' (expected %s)\n", Name,
+               Env, Expected);
+  std::exit(2);
+}
+
 } // namespace support
 } // namespace dae
 

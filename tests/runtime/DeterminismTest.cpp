@@ -90,7 +90,7 @@ struct RtFixture {
 
   std::vector<Task> makeTasks(unsigned NumTasks, unsigned Waves = 1) {
     std::vector<Task> Tasks;
-    std::int64_t Chunk = (1 << 16) / NumTasks;
+    std::int64_t Chunk = NumTasks ? (1 << 16) / NumTasks : 0;
     for (unsigned T = 0; T != NumTasks; ++T)
       Tasks.push_back({Exec,
                        Access,
@@ -104,13 +104,17 @@ struct RtFixture {
   /// \p Overlap = false is the thread-free sequential reference at 1.
   RunProfile run(unsigned Threads, unsigned NumTasks, unsigned Waves,
                  bool RunAccess, bool Overlap = true) {
+    return run(Threads, makeTasks(NumTasks, Waves), RunAccess, Overlap);
+  }
+  RunProfile run(unsigned Threads, const std::vector<Task> &Tasks,
+                 bool RunAccess, bool Overlap = true) {
     MachineConfig C = Cfg;
     C.SimThreads = Threads;
     C.ReplayOverlap = Overlap;
     Memory Mem;
     Loader L(M);
     TaskRuntime RT(C, Mem, L);
-    return RT.execute(makeTasks(NumTasks, Waves), RunAccess);
+    return RT.execute(Tasks, RunAccess);
   }
 };
 
@@ -124,9 +128,12 @@ TEST_P(StreamDeterminismTest, MatchesSequentialReference) {
     bool RunAccess;
   };
   // Uneven task/wave/core divisions on purpose: they exercise stealing and
-  // partially-filled waves, where schedule bugs would hide.
+  // partially-filled waves, where schedule bugs would hide. The replay
+  // streams task by task, so one wave with fewer tasks than cores, a single
+  // task and an empty task list take the pipelined path too.
   for (Shape S : {Shape{32, 1, true}, Shape{16, 4, true}, Shape{15, 3, true},
-                  Shape{7, 2, true}, Shape{16, 4, false}}) {
+                  Shape{7, 2, true}, Shape{16, 4, false}, Shape{3, 1, true},
+                  Shape{1, 1, true}, Shape{0, 1, true}}) {
     RunProfile Seq = Fx.run(1, S.Tasks, S.Waves, S.RunAccess,
                             /*Overlap=*/false);
     RunProfile Par = Fx.run(Threads, S.Tasks, S.Waves, S.RunAccess);
@@ -136,6 +143,31 @@ TEST_P(StreamDeterminismTest, MatchesSequentialReference) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, StreamDeterminismTest,
                          ::testing::Values(2u, 4u, 7u, 1u));
+
+/// Very uneven task lengths at 8 sim threads: short tasks finish long before
+/// long ones, so the replay's schedule picks tasks — from its own queue and
+/// by stealing from the back of the longest one — whose functional pass is
+/// still running, and must wait for them.
+TEST(UnevenStreamDeterminismTest, EightThreadsMatchReference) {
+  RtFixture Fx;
+  std::vector<Task> Tasks;
+  std::int64_t Begin = 0;
+  for (unsigned T = 0; T != 24; ++T) {
+    std::int64_t Len = T % 5 == 0 ? 6000 : T % 3 == 0 ? 800 : 16;
+    Tasks.push_back({Fx.Exec,
+                     Fx.Access,
+                     {RuntimeValue::ofInt(Begin),
+                      RuntimeValue::ofInt(Begin + Len)},
+                     T % 2});
+    Begin += Len;
+  }
+  ASSERT_LE(Begin, 1 << 16);
+  for (bool RunAccess : {true, false}) {
+    RunProfile Seq = Fx.run(1, Tasks, RunAccess, /*Overlap=*/false);
+    RunProfile Par = Fx.run(8, Tasks, RunAccess);
+    expectProfilesEqual(Seq, Par);
+  }
+}
 
 /// End-to-end: all seven paper workloads through the full harness (CAE,
 /// Manual DAE, Auto DAE) must profile bit-identically at 1 and 4 threads.

@@ -178,7 +178,7 @@ TEST(TracePoolTest, RetainedBytesAreCapped) {
   // Per-buffer cap: a huge-wave trace must not pin its capacity forever.
   TracePool Pool(/*MaxPooled=*/4, /*MaxBufferBytes=*/1024,
                  /*MaxTotalBytes=*/4096);
-  std::vector<std::uint64_t> Huge;
+  TraceBuffer Huge;
   Huge.reserve(1024); // 8 KiB > per-buffer cap.
   Pool.recycle(std::move(Huge));
   EXPECT_EQ(Pool.pooledBuffers(), 0u);
@@ -187,7 +187,7 @@ TEST(TracePoolTest, RetainedBytesAreCapped) {
   // Total cap: buffers under the per-buffer cap stop pooling once the
   // free-list's summed capacity would exceed MaxTotalBytes.
   for (int I = 0; I != 8; ++I) {
-    std::vector<std::uint64_t> Buf;
+    TraceBuffer Buf;
     Buf.reserve(128); // 1 KiB each.
     Pool.recycle(std::move(Buf));
   }
@@ -196,7 +196,7 @@ TEST(TracePoolTest, RetainedBytesAreCapped) {
 
   // Acquire returns retained capacity and releases its accounting.
   std::size_t Before = Pool.retainedBytes();
-  std::vector<std::uint64_t> Got = Pool.acquire();
+  TraceBuffer Got = Pool.acquire();
   EXPECT_GE(Got.capacity(), 128u);
   EXPECT_LT(Pool.retainedBytes(), Before);
 }
