@@ -12,6 +12,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 using namespace dae;
@@ -118,28 +119,31 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     return S;
   };
 
+  // The frequency the policy picks for phase P on core C. Every case
+  // returns; a policy added without one aborts instead of pricing phases at
+  // an uninitialised frequency.
+  auto PolicyFrequency = [&](unsigned C, const PhaseRef &P) -> double {
+    switch (TC.Policy) {
+    case TimelinePolicy::FixedMax:
+      return Cfg.fmaxOf(C);
+    case TimelinePolicy::DaeMinMax:
+      return P.IsAccess ? Cfg.fminOf(C) : Cfg.fmaxOf(C);
+    case TimelinePolicy::OracleEdp:
+      return bestEdpFrequency(*P.Solo, Cfg, PM, C);
+    case TimelinePolicy::Ondemand:
+    case TimelinePolicy::Conservative:
+      return Governors[C].frequency();
+    }
+    std::abort();
+  };
+
   // Opens the next phase on core C: pick the policy frequency, pay the DVFS
   // transition if it changed, and spread the phase's functional compute
   // across its trace events.
   auto StartPhase = [&](unsigned C) {
     CoreState &CS = Cores[C];
     const PhaseRef &P = CS.Phases[CS.PhaseIdx];
-    double F;
-    switch (TC.Policy) {
-    case TimelinePolicy::FixedMax:
-      F = Cfg.fmaxOf(C);
-      break;
-    case TimelinePolicy::DaeMinMax:
-      F = P.IsAccess ? Cfg.fminOf(C) : Cfg.fmaxOf(C);
-      break;
-    case TimelinePolicy::OracleEdp:
-      F = bestEdpFrequency(*P.Solo, Cfg, PM, C);
-      break;
-    case TimelinePolicy::Ondemand:
-    case TimelinePolicy::Conservative:
-      F = Governors[C].frequency();
-      break;
-    }
+    const double F = PolicyFrequency(C, P);
     if (std::abs(CS.FreqGHz - F) > 1e-9) {
       ++CS.Report.Transitions;
       if (TransNs > 0.0) {

@@ -160,19 +160,26 @@ void Server::closeListenFd() {
 
 void Server::connectionLoop(int Fd, unsigned ClientId) {
   std::string Buffer;
+  std::size_t Scanned = 0; // Buffer[0, Scanned) holds no newline.
   char Chunk[4096];
   bool Shutdown = false;
-  while (!Shutdown) {
+  bool TooLarge = false;
+  while (!Shutdown && !TooLarge) {
     ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
     if (N < 0 && errno == EINTR)
       continue;
     if (N <= 0)
       break;
     Buffer.append(Chunk, static_cast<std::size_t>(N));
-    std::size_t Pos;
-    while (!Shutdown && (Pos = Buffer.find('\n')) != std::string::npos) {
-      std::string Line = Buffer.substr(0, Pos);
-      Buffer.erase(0, Pos + 1);
+    std::size_t Start = 0, Pos;
+    while (!Shutdown &&
+           (Pos = Buffer.find('\n', Scanned)) != std::string::npos) {
+      if (Pos - Start > MaxLineBytes) {
+        TooLarge = true;
+        break;
+      }
+      std::string Line = Buffer.substr(Start, Pos - Start);
+      Start = Scanned = Pos + 1;
       if (!Line.empty() && Line.back() == '\r')
         Line.pop_back();
       if (Line.empty())
@@ -184,6 +191,15 @@ void Server::connectionLoop(int Fd, unsigned ClientId) {
         goto done; // client went away; only *it* is done, not the server
       }
     }
+    Buffer.erase(0, Start);
+    Scanned = Buffer.size();
+    TooLarge = TooLarge || Buffer.size() > MaxLineBytes;
+  }
+  if (TooLarge) {
+    const std::string Reply = "{\"ok\": false, \"code\": \"too_large\", "
+                              "\"error\": \"request line exceeds " +
+                              std::to_string(MaxLineBytes) + " bytes\"}\n";
+    writeAll(Fd, Reply.data(), Reply.size());
   }
 done:
   {

@@ -11,6 +11,8 @@
 /// loop and one thread per connection; what a line *means* lives entirely in
 /// the handler (service/ExperimentService.h), so the transport is testable
 /// with a trivial echo handler and the service without any socket at all.
+/// A line longer than Server::MaxLineBytes gets a structured `too_large`
+/// error reply, and then the connection closes.
 ///
 /// Lifecycle: serve() blocks until a handler sets its Shutdown flag or
 /// requestStop() is called from another thread, then drains: the listening
@@ -37,6 +39,9 @@ namespace service {
 
 class Server {
 public:
+  /// Longest request line accepted, newline excluded.
+  static constexpr std::size_t MaxLineBytes = 1 << 20;
+
   /// Handles one request line (no newline) from connection \p ClientId and
   /// returns the reply line. Setting \p Shutdown stops the server after the
   /// reply is written.

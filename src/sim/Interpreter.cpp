@@ -248,7 +248,7 @@ CompiledProgram::lookupNative(const Function &F) const {
 Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
                          CacheHierarchy &Caches, const Loader &L,
                          const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Caches(&Caches), Load(L), Shared(Shared) {
+    : Cfg(Cfg), Mem(Mem), Caches(&Caches), Load(L), Shared(Shared) {
   if (Cfg.Backend == SimBackend::Threaded)
     Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, &Caches, L,
                                                      Shared);
@@ -259,7 +259,7 @@ Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
 
 Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
                          const Loader &L, const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Caches(nullptr), Load(L), Shared(Shared) {
+    : Cfg(Cfg), Mem(Mem), Caches(nullptr), Load(L), Shared(Shared) {
   if (Cfg.Backend == SimBackend::Threaded)
     Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, nullptr, L,
                                                      Shared);
@@ -478,9 +478,9 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
         MM.onLoad(S, Addr, CI.I);
         RuntimeValue Out;
         if (CI.Op == SimOp::LoadF)
-          Out.D = View.loadF64(Addr);
+          Out.D = Mem.loadF64(Addr);
         else
-          Out.I = View.loadI64(Addr);
+          Out.I = Mem.loadI64(Addr);
         Env[static_cast<unsigned>(CI.DstSlot)] = Out;
         break;
       }
@@ -491,9 +491,9 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
         ++S.Stores;
         MM.onStore(S, Addr);
         if (CI.Op == SimOp::StoreF)
-          View.storeF64(Addr, V.D);
+          Mem.storeF64(Addr, V.D);
         else
-          View.storeI64(Addr, V.I);
+          Mem.storeI64(Addr, V.I);
         break;
       }
       case SimOp::Prefetch: {

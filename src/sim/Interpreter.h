@@ -197,7 +197,7 @@ private:
 
   LoadStatsMap *LoadStats = nullptr;
   const MachineConfig &Cfg;
-  MemoryView View;
+  Memory &Mem;
   CacheHierarchy *Caches; ///< Null for tracing-only interpreters.
   const Loader &Load;
   const CompiledProgram *Shared; ///< Read-only; preferred over Cache.

@@ -9,90 +9,68 @@
 #include "ir/Module.h"
 #include "support/Hash.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <sys/mman.h>
 
 using namespace dae;
 using namespace dae::sim;
 
-std::uint8_t *Memory::pageFor(std::uint64_t PageIdx) {
-  Shard &S = Shards[shardOf(PageIdx)];
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Pages.find(PageIdx);
-  if (It == S.Pages.end()) {
-    auto Mem = std::make_unique<std::uint8_t[]>(PageSize);
-    std::memset(Mem.get(), 0, PageSize);
-    It = S.Pages.emplace(PageIdx, std::move(Mem)).first;
-  }
-  return It->second.get();
-}
-
-size_t Memory::pagesTouched() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.Pages.size();
-  }
-  return N;
-}
-
-std::uint64_t Memory::imageHash() const {
-  // Collect nonzero pages across shards, then hash in page-index order so
-  // the result is independent of sharding and allocation order.
-  std::vector<std::pair<std::uint64_t, const std::uint8_t *>> Nonzero;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (const auto &[Idx, Page] : S.Pages) {
-      const std::uint8_t *P = Page.get();
-      bool AllZero = true;
-      for (std::uint64_t B = 0; B != PageSize && AllZero; ++B)
-        AllZero = P[B] == 0;
-      if (!AllZero)
-        Nonzero.emplace_back(Idx, P);
-    }
-  }
-  std::sort(Nonzero.begin(), Nonzero.end());
-
-  std::uint64_t H = support::FnvOffsetBasis;
-  for (const auto &[Idx, P] : Nonzero) {
-    H = support::fnv1a(&Idx, sizeof(Idx), H);
-    H = support::fnv1a(P, PageSize, H);
-  }
-  return H;
-}
-
 namespace {
 
-/// True when [Addr, Addr+8) stays within one page.
-bool withinPage(std::uint64_t Addr) {
-  return (Addr & 0xfff) <= 0xff8;
+std::uint8_t *mapArena() {
+  void *P = ::mmap(nullptr, Memory::Capacity, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED) {
+    std::perror("daecc: cannot map the simulated memory arena");
+    std::abort();
+  }
+  return static_cast<std::uint8_t *>(P);
+}
+
+/// True when the page at \p P holds a nonzero byte.
+bool nonzeroPage(const std::uint8_t *P) {
+  static const std::uint8_t Zero[Memory::PageSize] = {};
+  return std::memcmp(P, Zero, Memory::PageSize) != 0;
 }
 
 } // namespace
 
-std::int64_t Memory::loadI64(std::uint64_t Addr) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  std::int64_t V;
-  std::memcpy(&V, pagePtr(Addr), sizeof(V));
-  return V;
+Memory::Memory() : Base(mapArena()) {}
+
+Memory::~Memory() { ::munmap(Base, Capacity); }
+
+void Memory::grow(std::uint64_t Addr) {
+  if (Addr > Capacity - 8) {
+    std::fprintf(stderr,
+                 "daecc: simulated address 0x%llx lies past the %llu MiB "
+                 "memory arena\n",
+                 static_cast<unsigned long long>(Addr),
+                 static_cast<unsigned long long>(Capacity >> 20));
+    std::abort();
+  }
+  const std::uint64_t Want = (Addr + 8 + ExtentStep - 1) & ~(ExtentStep - 1);
+  std::uint64_t Cur = Extent.load(std::memory_order_relaxed);
+  while (Cur < Want &&
+         !Extent.compare_exchange_weak(Cur, Want, std::memory_order_relaxed))
+    ;
 }
 
-double Memory::loadF64(std::uint64_t Addr) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  double V;
-  std::memcpy(&V, pagePtr(Addr), sizeof(V));
-  return V;
-}
-
-void Memory::storeI64(std::uint64_t Addr, std::int64_t V) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  std::memcpy(pagePtr(Addr), &V, sizeof(V));
-}
-
-void Memory::storeF64(std::uint64_t Addr, double V) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  std::memcpy(pagePtr(Addr), &V, sizeof(V));
+std::uint64_t Memory::imageHash() const {
+  // Pages above the extent were never touched, so they are zero and hash
+  // like absent ones.
+  const std::uint64_t Pages = Extent.load(std::memory_order_relaxed) >>
+                              PageBits;
+  std::uint64_t H = support::FnvOffsetBasis;
+  for (std::uint64_t Idx = 0; Idx != Pages; ++Idx) {
+    const std::uint8_t *P = Base + (Idx << PageBits);
+    if (!nonzeroPage(P))
+      continue;
+    H = support::fnv1a(&Idx, sizeof(Idx), H);
+    H = support::fnv1a(P, PageSize, H);
+  }
+  return H;
 }
 
 Loader::Loader(const ir::Module &M, std::uint64_t Base) {

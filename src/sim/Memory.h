@@ -5,32 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sparse 64-bit byte-addressed memory with a tiny loader that assigns
-/// base addresses to module globals. Workloads initialize their arrays
-/// through it and the interpreter reads/writes through it.
+/// Simulated byte-addressed memory plus a tiny loader that assigns base
+/// addresses to module globals. Workloads initialize their arrays through it
+/// and every backend reads/writes through it.
 ///
-/// The page table is safe under concurrent access from the host-parallel
-/// simulation engine: lookups and on-touch allocation take a sharded mutex,
-/// and page storage is never moved or freed once allocated, so raw page
-/// pointers handed out by pageFor() stay valid for the Memory's lifetime
-/// (interpreters cache them thread-locally to keep the hot path lock-free).
-/// Same-wave tasks write disjoint addresses by the runtime's independence
-/// contract, so byte-level data races cannot occur.
+/// The memory is one flat arena: a fixed-capacity private anonymous mapping
+/// reserved without swap accounting, which the kernel zero-fills and commits
+/// page by page on first touch. Simulated address A lives at base() + A, and
+/// the base never moves. A grow-only atomic extent bounds what has been
+/// touched, so imageHash() scans only that prefix; an access past the extent
+/// takes one out-of-line slow path that raises it, or aborts with a
+/// diagnostic when the address lies past Capacity. Same-wave tasks write
+/// disjoint addresses by the runtime's independence contract, so the arena
+/// needs no locks.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_SIM_MEMORY_H
 #define DAECC_SIM_MEMORY_H
 
-#include <cassert>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace dae {
 
@@ -41,50 +39,69 @@ class GlobalVariable;
 
 namespace sim {
 
-/// Sparse simulated memory (4 KiB pages allocated on touch).
+/// Flat simulated memory (zero-initialised, committed on touch).
 class Memory {
 public:
   static constexpr std::uint64_t PageBits = 12;
   static constexpr std::uint64_t PageSize = 1ull << PageBits;
+  /// Largest simulated address space; an access past it aborts.
+  static constexpr std::uint64_t Capacity = 1ull << 30;
+  /// The extent grows in steps of this many bytes.
+  static constexpr std::uint64_t ExtentStep = 1ull << 20;
 
-  std::int64_t loadI64(std::uint64_t Addr);
-  double loadF64(std::uint64_t Addr);
-  void storeI64(std::uint64_t Addr, std::int64_t V);
-  void storeF64(std::uint64_t Addr, double V);
+  Memory();
+  ~Memory();
+  Memory(const Memory &) = delete;
+  Memory &operator=(const Memory &) = delete;
 
-  /// Returns the backing storage of page \p PageIdx (allocating it zeroed on
-  /// first touch). Thread safe; the returned pointer is stable until the
-  /// Memory is destroyed.
-  std::uint8_t *pageFor(std::uint64_t PageIdx);
+  std::int64_t loadI64(std::uint64_t Addr) {
+    std::int64_t V;
+    std::memcpy(&V, at(Addr), sizeof(V));
+    return V;
+  }
+  double loadF64(std::uint64_t Addr) {
+    double V;
+    std::memcpy(&V, at(Addr), sizeof(V));
+    return V;
+  }
+  void storeI64(std::uint64_t Addr, std::int64_t V) {
+    std::memcpy(at(Addr), &V, sizeof(V));
+  }
+  void storeF64(std::uint64_t Addr, double V) {
+    std::memcpy(at(Addr), &V, sizeof(V));
+  }
 
-  /// Number of distinct pages touched (testing/diagnostics).
-  size_t pagesTouched() const;
+  /// Host address of simulated address 0.
+  std::uint8_t *base() const { return Base; }
 
-  /// FNV-1a hash of the program-visible memory image: every page with any
-  /// nonzero byte, in page-index order, hashed as (index, contents).
-  /// All-zero pages hash like untouched ones, so two runs differ only when
-  /// they produced different *values* — an access phase that merely touches
-  /// (allocates) extra pages, which a pure prefetcher may, cannot change the
-  /// hash. Not thread safe against concurrent writers; call between runs.
+  /// Highest address whose 8-byte access lies inside the current extent.
+  std::uint64_t limit() const {
+    return Extent.load(std::memory_order_relaxed) - 8;
+  }
+
+  /// Slow path of every access above a cached limit(): raises the extent to
+  /// cover the 8 bytes at \p Addr, or aborts with a diagnostic if they lie
+  /// past Capacity. Thread safe.
+  void grow(std::uint64_t Addr);
+
+  /// FNV-1a hash of the program-visible memory image: every 4 KiB page of
+  /// the extent with any nonzero byte, in page-index order, hashed as
+  /// (index, contents). All-zero pages hash like untouched ones, so two runs
+  /// differ only when they produced different *values* — an access phase
+  /// that merely touches extra memory, which a pure prefetcher may, cannot
+  /// change the hash. Not thread safe against concurrent writers; call
+  /// between runs.
   std::uint64_t imageHash() const;
 
 private:
-  std::uint8_t *pagePtr(std::uint64_t Addr) {
-    return pageFor(Addr >> PageBits) + (Addr & (PageSize - 1));
+  std::uint8_t *at(std::uint64_t Addr) {
+    if (Addr > limit()) [[unlikely]]
+      grow(Addr);
+    return Base + Addr;
   }
 
-  /// Sharded page table: the shard index is a cheap hash of the page number,
-  /// so concurrent workers touching different regions rarely contend.
-  static constexpr unsigned NumShards = 64;
-  struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> Pages;
-  };
-  Shard Shards[NumShards];
-
-  static unsigned shardOf(std::uint64_t PageIdx) {
-    return static_cast<unsigned>((PageIdx ^ (PageIdx >> 6)) & (NumShards - 1));
-  }
+  std::uint8_t *const Base;
+  std::atomic<std::uint64_t> Extent{ExtentStep};
 };
 
 /// Assigns non-overlapping, line-aligned base addresses to every global of a
@@ -99,57 +116,6 @@ public:
 private:
   std::map<const ir::GlobalVariable *, std::uint64_t> Bases;
   std::map<std::string, std::uint64_t> ByName;
-};
-
-/// A per-thread window into a Memory: caches page pointers (which are stable)
-/// so repeated accesses skip the sharded page-table lock entirely. Each
-/// interpreter owns one; they are cheap and never shared across threads.
-class MemoryView {
-public:
-  explicit MemoryView(Memory &M) : M(M) {}
-
-  std::uint8_t *ptr(std::uint64_t Addr) {
-    std::uint64_t Page = Addr >> Memory::PageBits;
-    if (Page != LastPage) {
-      auto It = PagePtrs.find(Page);
-      if (It == PagePtrs.end())
-        It = PagePtrs.emplace(Page, M.pageFor(Page)).first;
-      LastPage = Page;
-      LastPtr = It->second;
-    }
-    return LastPtr + (Addr & (Memory::PageSize - 1));
-  }
-
-  // Inline (unlike Memory's own accessors): these sit on the simulators'
-  // per-access hot path, where an out-of-line call costs as much as the
-  // access itself. The common case is a page-memo hit: shift, compare,
-  // memcpy.
-  std::int64_t loadI64(std::uint64_t Addr) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
-    std::int64_t V;
-    std::memcpy(&V, ptr(Addr), sizeof(V));
-    return V;
-  }
-  double loadF64(std::uint64_t Addr) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
-    double V;
-    std::memcpy(&V, ptr(Addr), sizeof(V));
-    return V;
-  }
-  void storeI64(std::uint64_t Addr, std::int64_t V) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
-    std::memcpy(ptr(Addr), &V, sizeof(V));
-  }
-  void storeF64(std::uint64_t Addr, double V) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
-    std::memcpy(ptr(Addr), &V, sizeof(V));
-  }
-
-private:
-  Memory &M;
-  std::uint64_t LastPage = ~0ull;
-  std::uint8_t *LastPtr = nullptr;
-  std::unordered_map<std::uint64_t, std::uint8_t *> PagePtrs;
 };
 
 } // namespace sim

@@ -11,7 +11,7 @@
 //   rbp = NativeContext*          rbx = frame (RuntimeValue[])
 //   r12 = address temp across fused helper calls
 //   r13 = trace write cursor      (tracing variant only)
-//   r14 = cached page tag         r15 = cached host-minus-sim delta
+//   r14 = cached arena limit      r15 = arena base (host = addr + r15)
 //   xmm15 = running ComputeCycles (tracing variant only)
 // rax/rcx/rdx are stencil scratch; xmm0/xmm1 are FP scratch.
 //
@@ -36,7 +36,6 @@
 
 #include "ir/Function.h"
 #include "sim/Bytecode.h"
-#include "sim/Memory.h"
 #include "sim/NativeExec.h"
 #include "support/EnvParse.h"
 #include "support/Hash.h"
@@ -573,8 +572,8 @@ constexpr std::int32_t CtxNPref = 32;
 constexpr std::int32_t CtxCycles = 40;
 constexpr std::int32_t CtxTracePtr = 48;
 constexpr std::int32_t CtxTraceEnd = 56;
-constexpr std::int32_t CtxPageTag = 64;
-constexpr std::int32_t CtxDelta = 72;
+constexpr std::int32_t CtxLimit = 64;
+constexpr std::int32_t CtxBase = 72;
 constexpr std::int32_t CtxStats = 80;
 constexpr std::int32_t CtxRet = 88;
 constexpr std::int32_t CtxRetValid = 104;
@@ -587,9 +586,6 @@ constexpr std::int32_t CtxFusedPrefetch = 160;
 
 constexpr std::int32_t StatsCC =
     static_cast<std::int32_t>(offsetof(PhaseStats, ComputeCycles));
-
-static_assert(Memory::PageSize == 4096,
-              "page-mask immediates assume 4 KiB pages");
 
 bool isTerminator(bc::Opcode Op) {
   switch (Op) {
@@ -726,31 +722,26 @@ private:
     PendInstr = PendLoads = PendStores = PendPref = 0;
   }
 
-  /// Page translation: simulated address in rax -> host pointer in rdx.
-  /// Hit path is the strength-reduced form (tag compare + lea against the
-  /// register-cached pair); the miss path calls the Translate helper and
-  /// refreshes the cached tag/delta. Clobbers rcx.
+  /// Address translation: simulated address in rax -> host pointer in rdx.
+  /// Hit path is a compare against the cached arena limit (r14) and an add
+  /// of the arena base (r15); above the limit the Translate helper grows the
+  /// extent (or aborts) and r14 is reloaded. Only the slow path clobbers
+  /// rax (and the other caller-saved registers, as every helper call does).
   void translate() {
-    A.movRR(RCX, RAX);
-    A.aluImm32(4, RCX,
-               static_cast<std::int32_t>(
-                   ~static_cast<std::int64_t>(Memory::PageSize - 1)));
-    A.aluRR(0x3B, RCX, R14);
-    std::size_t Hit = A.jccFwd(CC_E);
-    // Miss: helper boundary — write cached state back, call, reload.
+    A.aluRR(0x3B, RAX, R14); // cmp rax, r14
+    std::size_t Hit = A.jccFwd(CC_BE);
     if (Tracing)
       A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
     A.movRR(RDI, RBP);
     A.movRR(RSI, RAX);
     A.callMem(RBP, CtxTranslate);
     A.movRR(RDX, RAX);
-    A.movRM(R14, RBP, CtxPageTag);
-    A.movRM(R15, RBP, CtxDelta);
+    A.movRM(R14, RBP, CtxLimit);
     if (Tracing)
       A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
     std::size_t Done = A.jmpFwd();
     A.bind(Hit);
-    A.leaRR(RDX, RAX, R15); // host = addr + delta
+    A.leaRR(RDX, RAX, R15); // host = addr + base
     A.bind(Done);
   }
 
@@ -880,8 +871,8 @@ bool FnEmitter::emit() {
   A.aluImm32(5, RSP, 8); // sub rsp, 8
   A.movRR(RBP, RDI);
   A.movRM(RBX, RBP, CtxFrame);
-  A.movRM(R14, RBP, CtxPageTag);
-  A.movRM(R15, RBP, CtxDelta);
+  A.movRM(R14, RBP, CtxLimit);
+  A.movRM(R15, RBP, CtxBase);
   if (Tracing) {
     A.movRM(R13, RBP, CtxTracePtr);
     A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles); // invoker zeroed it
@@ -909,8 +900,6 @@ bool FnEmitter::emit() {
     A.movMR(RBP, CtxTracePtr, R13);
     A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
   }
-  A.movMR(RBP, CtxPageTag, R14);
-  A.movMR(RBP, CtxDelta, R15);
   A.aluImm32(0, RSP, 8); // add rsp, 8
   A.pop(R15);
   A.pop(R14);
@@ -1468,10 +1457,9 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     cost(I.Cost);
     ++PendInstr;
     flushPending();
-    // Full helper boundary: the callee translates, traces and may move the
-    // frame arena; write every cached value back, reload all afterwards.
-    A.movMR(RBP, CtxPageTag, R14);
-    A.movMR(RBP, CtxDelta, R15);
+    // Full helper boundary: the callee traces, may move the frame arena and
+    // may raise the limit; write the trace cursor and cycles back, reload
+    // them, the frame and the limit afterwards (the base never changes).
     if (Tracing) {
       A.movMR(RBP, CtxTracePtr, R13);
       A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
@@ -1481,8 +1469,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movImm32(RDX, I.Dst);
     A.callMem(RBP, CtxCall);
     A.movRM(RBX, RBP, CtxFrame);
-    A.movRM(R14, RBP, CtxPageTag);
-    A.movRM(R15, RBP, CtxDelta);
+    A.movRM(R14, RBP, CtxLimit);
     if (Tracing) {
       A.movRM(R13, RBP, CtxTracePtr);
       A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);

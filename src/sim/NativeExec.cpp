@@ -3,10 +3,10 @@
 // Part of daecc. Distributed under the MIT license.
 //
 // The C++ half of the native backend: frame management, the slow-path
-// helpers generated code calls (translation miss, trace growth, calls, fused
-// cache callbacks), and the per-function threaded fallback. The fast paths —
-// dispatch, value ops, trace appends, page-translation hits — live entirely
-// in the generated code (sim/NativeCodegen.cpp).
+// helpers generated code calls (access above the cached memory limit, trace
+// growth, calls, fused cache callbacks), and the per-function threaded
+// fallback. The fast paths — dispatch, value ops, trace appends, address
+// translation — live entirely in the generated code (sim/NativeCodegen.cpp).
 //
 // Bit-exactness protocols (verified against ThreadedInterpreter::exec):
 //
@@ -53,8 +53,13 @@ namespace sim {
 /// Static shims matching the NativeContext function-pointer types; they
 /// bounce to the owning interpreter through ctx->Self.
 struct NativeHelpers {
+  /// Access above the cached limit: grow the extent (or abort past the
+  /// arena's capacity) and refresh the cached limit.
   static std::uint8_t *translate(NativeContext *C, std::uint64_t Addr) {
-    return C->Self->translateSlow(Addr);
+    Memory &Mem = C->Self->Mem;
+    Mem.grow(Addr);
+    C->Limit = Mem.limit();
+    return C->Base + Addr;
   }
 
   static void traceGrow(NativeContext *C, std::uint64_t Needed) {
@@ -153,6 +158,8 @@ NativeInterpreter::NativeInterpreter(const MachineConfig &Cfg, Memory &Mem,
     : Cfg(Cfg), Mem(Mem), Caches(Caches), Load(L), Shared(Shared),
       Fallback(Cfg, Mem, Caches, L, Shared) {
   Ctx.Self = this;
+  Ctx.Limit = Mem.limit();
+  Ctx.Base = Mem.base();
   Ctx.Translate = &NativeHelpers::translate;
   Ctx.TraceGrow = &NativeHelpers::traceGrow;
   Ctx.Call = &NativeHelpers::call;
@@ -186,20 +193,6 @@ NativeInterpreter::FnEntry NativeInterpreter::getFn(const Function &F) {
   LastFn = &F;
   LastEntry = E;
   return E;
-}
-
-std::uint8_t *NativeInterpreter::translateSlow(std::uint64_t Addr) {
-  const std::uint64_t Page = Addr >> Memory::PageBits;
-  auto It = PagePtrs.find(Page);
-  if (It == PagePtrs.end())
-    It = PagePtrs.emplace(Page, Mem.pageFor(Page)).first;
-  std::uint8_t *Base = It->second;
-  const std::uint64_t Tag = Addr & ~(Memory::PageSize - 1);
-  Ctx.LastPageTag = Tag;
-  Ctx.LastDelta = static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(
-                      Base)) -
-                  static_cast<std::int64_t>(Tag);
-  return Base + (Addr & (Memory::PageSize - 1));
 }
 
 void NativeInterpreter::traceGrow(std::uint64_t Needed) {

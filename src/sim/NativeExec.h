@@ -15,9 +15,9 @@
 /// NativeContext is the ABI between generated code (the JIT's stencils) and
 /// the C++ runtime: a fixed-layout struct holding the current
 /// activation's register file, the register-resident counters, the inlined
-/// trace write cursor, the (page tag, pointer delta) translation cache, and
-/// the helper entry points generated code calls for the slow paths
-/// (translation miss, trace growth, calls, fused cache callbacks). All
+/// trace write cursor, the memory arena's base and cached limit, and the
+/// helper entry points generated code calls for the slow paths (access above
+/// the cached limit, trace growth, calls, fused cache callbacks). All
 /// fields are 8-byte scalars at fixed offsets asserted below; the x86-64
 /// emitter addresses them as [ctx + offset].
 ///
@@ -55,7 +55,9 @@ class NativeCode;
 /// Canonical-at-boundaries rule: generated code may cache any field in a
 /// host register between helper calls, but must write the cached values
 /// back before every helper call and read them back afterwards — helpers
-/// treat the struct as the single source of truth.
+/// treat the struct as the single source of truth. Limit and Base are
+/// read-only to generated code (Base never changes; only the Translate
+/// helper raises Limit), so their registers are reloaded, never written back.
 struct NativeContext {
   RuntimeValue *Frame = nullptr;    ///< Current activation's register file.
   std::uint64_t NInstr = 0;         ///< Shared order-independent counters...
@@ -68,11 +70,9 @@ struct NativeContext {
                                     ///< NativeExec.cpp, nativeCall).
   std::uint64_t *TracePtr = nullptr; ///< Next trace event write slot.
   std::uint64_t *TraceEnd = nullptr; ///< One past the reserved trace storage.
-  std::uint64_t LastPageTag = ~0ull; ///< Addr & ~(PageSize-1) of the cached
-                                     ///< page; ~0 = invalid.
-  std::int64_t LastDelta = 0;       ///< Host pointer minus simulated address
-                                    ///< for the cached page (host = addr +
-                                    ///< delta).
+  std::uint64_t Limit = 0;          ///< Cached Memory::limit(); only the
+                                    ///< Translate helper raises it.
+  std::uint8_t *Base = nullptr;     ///< Memory::base() (host = addr + base).
   PhaseStats *Stats = nullptr;      ///< Fused mode: current activation's
                                     ///< stats (costs + cache callbacks).
   RuntimeValue Ret;                 ///< Return-value slot (RetVal opcode).
@@ -101,8 +101,8 @@ static_assert(offsetof(NativeContext, NPrefetches) == 32, "ABI layout");
 static_assert(offsetof(NativeContext, Cycles) == 40, "ABI layout");
 static_assert(offsetof(NativeContext, TracePtr) == 48, "ABI layout");
 static_assert(offsetof(NativeContext, TraceEnd) == 56, "ABI layout");
-static_assert(offsetof(NativeContext, LastPageTag) == 64, "ABI layout");
-static_assert(offsetof(NativeContext, LastDelta) == 72, "ABI layout");
+static_assert(offsetof(NativeContext, Limit) == 64, "ABI layout");
+static_assert(offsetof(NativeContext, Base) == 72, "ABI layout");
 static_assert(offsetof(NativeContext, Stats) == 80, "ABI layout");
 static_assert(offsetof(NativeContext, Ret) == 88, "ABI layout");
 static_assert(offsetof(NativeContext, RetValid) == 104, "ABI layout");
@@ -167,7 +167,6 @@ private:
   /// backend's Call handler.
   void nativeCall(const bc::CallDesc &D, std::uint32_t DstReg);
 
-  std::uint8_t *translateSlow(std::uint64_t Addr);
   void traceGrow(std::uint64_t Needed);
 
   native::NativeContext Ctx;
@@ -175,10 +174,6 @@ private:
   /// ThreadedInterpreter::Frame; writes stay within size()).
   std::vector<RuntimeValue> Arena;
   std::size_t FrameTop = 0;
-
-  /// Page-pointer cache backing the translation helper (pointers are stable
-  /// for the Memory's lifetime; see sim/Memory.h).
-  std::unordered_map<std::uint64_t, std::uint8_t *> PagePtrs;
 
   /// One-entry memo in front of the Shared/local lookups (tasks run the same
   /// function back to back).

@@ -42,7 +42,7 @@ ThreadedInterpreter::ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem,
                                          CacheHierarchy *Caches,
                                          const Loader &L,
                                          const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Caches(Caches), Load(L), Shared(Shared) {}
+    : Cfg(Cfg), Mem(Mem), Caches(Caches), Load(L), Shared(Shared) {}
 
 const bc::BytecodeFunction &
 ThreadedInterpreter::getBytecode(const Function &F) {
@@ -200,7 +200,7 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     ++NLoads;                                                                  \
     MM.onLoad(S, Addr, I->Origin);                                             \
     RuntimeValue Out;                                                          \
-    Out.D = View.loadF64(Addr);                                                \
+    Out.D = Mem.loadF64(Addr);                                                \
     R[I->Aux] = Out;                                                           \
     STEP2();                                                                   \
     R[I->Dst].D = R[I->B].D OPER R[I->C].D;                                    \
@@ -361,7 +361,7 @@ dispatch:
     ++NLoads;
     MM.onLoad(S, Addr, I->Origin);
     RuntimeValue Out;
-    Out.I = View.loadI64(Addr);
+    Out.I = Mem.loadI64(Addr);
     R[I->Dst] = Out;
     NEXT();
   }
@@ -371,7 +371,7 @@ dispatch:
     ++NLoads;
     MM.onLoad(S, Addr, I->Origin);
     RuntimeValue Out;
-    Out.D = View.loadF64(Addr);
+    Out.D = Mem.loadF64(Addr);
     R[I->Dst] = Out;
     NEXT();
   }
@@ -381,7 +381,7 @@ dispatch:
     std::int64_t V = R[I->A].I;
     ++NStores;
     MM.onStore(S, Addr);
-    View.storeI64(Addr, V);
+    Mem.storeI64(Addr, V);
     NEXT();
   }
   OP(StoreF) {
@@ -390,7 +390,7 @@ dispatch:
     double V = R[I->A].D;
     ++NStores;
     MM.onStore(S, Addr);
-    View.storeF64(Addr, V);
+    Mem.storeF64(Addr, V);
     NEXT();
   }
   OP(Prefetch) {
@@ -410,7 +410,7 @@ dispatch:
     ++NLoads;
     MM.onLoad(S, Addr, I->Origin);
     RuntimeValue Out;
-    Out.I = View.loadI64(Addr);
+    Out.I = Mem.loadI64(Addr);
     R[I->Aux] = Out;
     STEP2();
     R[I->Dst].I = R[I->B].I + R[I->C].I;

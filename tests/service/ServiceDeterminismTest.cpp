@@ -26,6 +26,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 
@@ -508,6 +510,58 @@ TEST(ServiceDeterminismTest, FinishedConnectionThreadsAreReaped) {
   Srv.requestStop();
   ServeThread.join();
   EXPECT_EQ(Srv.trackedThreads(), 0u);
+}
+
+// A line past Server::MaxLineBytes gets one structured too_large reply, and
+// then the connection closes; the server keeps serving other connections.
+TEST(ServiceDeterminismTest, OverlongLineGetsTooLargeAndCloses) {
+  TempDir Dir("svc_long");
+  std::filesystem::create_directories(Dir.str());
+  std::string Sock = Dir.str() + "/l.sock";
+  Server Srv(Sock, [](const std::string &Line, unsigned, bool &) {
+    return Line;
+  });
+  std::string Err;
+  ASSERT_TRUE(Srv.start(Err)) << Err;
+  std::thread ServeThread([&] { Srv.serve(); });
+
+  // Raw socket, no newline: the server refuses once the unterminated line
+  // passes the cap, which needs every byte sent here.
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::snprintf(Addr.sun_path, sizeof(Addr.sun_path), "%s", Sock.c_str());
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  const std::string Long(Server::MaxLineBytes + 1, 'x');
+  for (std::size_t Sent = 0; Sent != Long.size();) {
+    ssize_t W = ::send(Fd, Long.data() + Sent, Long.size() - Sent,
+                       MSG_NOSIGNAL);
+    ASSERT_GT(W, 0);
+    Sent += static_cast<std::size_t>(W);
+  }
+  std::string Got;
+  char Chunk[4096];
+  for (ssize_t N; (N = ::read(Fd, Chunk, sizeof(Chunk))) > 0;)
+    Got.append(Chunk, static_cast<std::size_t>(N));
+  ::close(Fd); // read() returned 0: the server closed the connection
+  ASSERT_FALSE(Got.empty());
+  EXPECT_EQ(Got.back(), '\n');
+  Got.pop_back();
+  JsonValue R;
+  ASSERT_TRUE(parseJson(Got, R, Err)) << Got;
+  EXPECT_FALSE(R.get("ok")->B);
+  EXPECT_EQ(strField(R, "code"), "too_large");
+
+  Client C;
+  ASSERT_TRUE(C.connect(Sock, Err)) << Err;
+  std::string Reply;
+  ASSERT_TRUE(C.request("ping", Reply));
+  EXPECT_EQ(Reply, "ping");
+  C.close();
+  Srv.requestStop();
+  ServeThread.join();
 }
 
 // Full transport round trip: daemon on a Unix socket, two clients, repeat

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <thread>
 
 using namespace dae;
 using namespace dae::ir;
@@ -223,6 +224,70 @@ TEST(MemoryTest, RoundTripsValues) {
   EXPECT_DOUBLE_EQ(Mem.loadF64(0x2000), 3.25);
   // Untouched memory reads as zero.
   EXPECT_EQ(Mem.loadI64(0x900000), 0);
+}
+
+// Two threads raise the extent concurrently (stores interleaved far above
+// it); the image must hash as if one thread had made every store.
+TEST(MemoryTest, ConcurrentGrowthMatchesSequential) {
+  auto Addr = [](unsigned T, unsigned K) {
+    return 0x1000000ull + K * 0x80000ull + T * 0x40000ull;
+  };
+  auto Fill = [&](Memory &M, unsigned T) {
+    for (unsigned K = 0; K != 64; ++K)
+      M.storeI64(Addr(T, K), 1000 * (T + 1) + K);
+  };
+  Memory Seq, Par, Empty;
+  Fill(Seq, 0);
+  Fill(Seq, 1);
+  std::thread T0([&] { Fill(Par, 0); });
+  std::thread T1([&] { Fill(Par, 1); });
+  T0.join();
+  T1.join();
+  EXPECT_EQ(Par.imageHash(), Seq.imageHash());
+  EXPECT_NE(Par.imageHash(), Empty.imageHash());
+  EXPECT_EQ(Par.loadI64(Addr(1, 63)), 2063);
+}
+
+/// fn(i) stores to Out[i]: an index past the arena puts the store there.
+Function *buildIndexedStore(Module &M) {
+  GlobalVariable *Out = M.createGlobal("Out", 8);
+  Function *F = M.createFunction("store_at", Type::Int64, {Type::Int64});
+  IRBuilder B(M, F->createBlock("entry"));
+  B.createStore(M.getInt(7), B.createGep1D(Out, F->getArg(0), 8));
+  B.createRet(M.getInt(0));
+  return F;
+}
+
+// An access past Memory::Capacity aborts with a diagnostic naming the
+// address, on every backend (fused and traced) and through Memory's own
+// accessors.
+TEST(MemoryDeathTest, AccessPastCapacityAborts) {
+  const char *Diag = "simulated address 0x[0-9a-f]+ lies past the 1024 MiB "
+                     "memory arena";
+  Memory Direct;
+  EXPECT_DEATH(Direct.storeI64(Memory::Capacity, 1), Diag);
+
+  Module M;
+  Function *F = buildIndexedStore(M);
+  for (SimBackend Backend :
+       {SimBackend::Switch, SimBackend::Threaded, SimBackend::Native}) {
+    MachineConfig Cfg;
+    Cfg.Backend = Backend;
+    Loader L(M);
+    Memory Mem;
+    CacheHierarchy Caches(Cfg, 1);
+    Interpreter Interp(Cfg, Mem, Caches, L);
+    // In range first, so the same program is known to run.
+    Interp.run(*F, 0, {RuntimeValue::ofInt(3)});
+    EXPECT_EQ(Mem.loadI64(L.baseOf("Out") + 24), 7);
+    const auto Past = static_cast<std::int64_t>(Memory::Capacity / 8);
+    EXPECT_DEATH(Interp.run(*F, 0, {RuntimeValue::ofInt(Past)}), Diag)
+        << static_cast<int>(Backend);
+    AccessTrace Trace;
+    EXPECT_DEATH(Interp.runTraced(*F, {RuntimeValue::ofInt(Past)}, Trace),
+                 Diag)
+        << static_cast<int>(Backend);
+  }
 }
 
 TEST(LoaderTest, AssignsDisjointAlignedBases) {
